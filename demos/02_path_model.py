@@ -14,6 +14,7 @@ from tljones import (
     enumerate_paths,
     phi_generator,
 )
+from tljones.pathmodel import candidate_phases
 
 print("=== Walk bases and sectors ===")
 for n, k in ((1, 5), (2, 3), (3, 5), (6, 6), (8, 8)):
@@ -33,7 +34,7 @@ for k in (3, 4, 5, 10):
     d = -a**2 - 1 / a**2
     t = a**-4
     print(f"  k={k:2d}: A = {a:.6f},  -A^2-A^-2 = {d.real:+.6f},  t = A^-4 = {t:.6f}")
-bare = choose_a(5, validate=False)
+bare = candidate_phases(5)[0]
 print(f"  bare phase at k=5 gives -A^2-A^-2 = {(-bare**2 - 1/bare**2).real:+.6f} (wrong sign, rejected)")
 
 print()

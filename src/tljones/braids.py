@@ -58,14 +58,25 @@ class BraidWord:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> BraidWord:
-        strands = int(data["strands"])
+        """Inverse of to_json_dict; rejects any value that is not of the documented JSON type."""
+        if not isinstance(data, Mapping):
+            raise BraidParseError(f"braid JSON must be an object, got {type(data).__name__}")
+        strands, word = data["strands"], data["word"]
+        if not _is_int(strands):
+            raise BraidParseError(f"'strands' must be an integer, got {strands!r}")
+        if not isinstance(word, (list, tuple)) or not all(_is_int(v) for v in word):
+            raise BraidParseError(f"'word' must be a list of integers, got {word!r}")
         letters = []
-        for v in data["word"]:
-            v = int(v)
+        for v in word:
             if v == 0:
                 raise BraidParseError("0 is not a valid signed generator index")
             letters.append((abs(v), 1 if v > 0 else -1))
         return cls(strands, tuple(letters))
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; bool is a subclass of int but never a count or an index."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:

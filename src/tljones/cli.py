@@ -15,12 +15,13 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Callable
 
 from . import checks
 from .braids import BraidError, BraidWord, parse_braid_word, writhe
 from .evaluation import jones_value_exact
 from .laurent import convert_to_t
-from .pathmodel import PathModelError, enumerate_paths
+from .pathmodel import PathModelError, choose_a, enumerate_paths
 from .sampling import SamplerConfig, SamplerError, sample_jones_value
 from .tl import jones_polynomial
 
@@ -59,6 +60,20 @@ def _parse_sweep(text: str) -> tuple[int, int]:
     if lo_i < 3 or hi_i < lo_i:
         raise CliError(f"--sweep-k range {text!r} must satisfy 3 <= a <= b")
     return lo_i, hi_i
+
+
+def _emit_sweep(args: argparse.Namespace, document: dict, value_at: Callable[[int], complex]) -> int:
+    """value_at(k) for every k in --sweep-k: CSV rows, or JSON rows under document["sweep"]."""
+    lo, hi = _parse_sweep(args.sweep_k)
+    values = {k: value_at(k) for k in range(lo, hi + 1)}
+    if args.format == "csv":
+        sys.stdout.write("k,re,im,abs\n")
+        for k, value in values.items():
+            sys.stdout.write(f"{k},{value.real!r},{value.imag!r},{abs(value)!r}\n")
+        return 0
+    document["sweep"] = [{"k": k, "value": [v.real, v.imag], "abs": abs(v)} for k, v in values.items()]
+    _emit(document)
+    return 0
 
 
 def _add_braid_arguments(parser: argparse.ArgumentParser) -> None:
@@ -142,19 +157,8 @@ def _run_exact(args: argparse.Namespace) -> int:
         document["polynomial_t"] = None
         document["t_unavailable_reason"] = str(exc)
     if args.sweep_k:
-        lo, hi = _parse_sweep(args.sweep_k)
-        rows = []
-        for k in range(lo, hi + 1):
-            result = jones_value_exact(word, k)
-            value = poly_a.evaluate(result.a_value)
-            rows.append({"k": k, "value": [value.real, value.imag], "abs": abs(value)})
-        if args.format == "csv":
-            sys.stdout.write("k,re,im,abs\n")
-            for row in rows:
-                sys.stdout.write(f"{row['k']},{row['value'][0]!r},{row['value'][1]!r},{row['abs']!r}\n")
-            return 0
-        document["sweep"] = rows
-    elif args.format == "csv":
+        return _emit_sweep(args, document, lambda k: poly_a.evaluate(choose_a(k)))
+    if args.format == "csv":
         raise CliError("--format csv is only available with --sweep-k")
     _emit(document)
     return 0
@@ -165,24 +169,8 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     if bool(args.k) == bool(args.sweep_k):
         raise CliError("provide exactly one of --k or --sweep-k")
     if args.sweep_k:
-        lo, hi = _parse_sweep(args.sweep_k)
-        rows = []
-        for k in range(lo, hi + 1):
-            result = jones_value_exact(word, k)
-            rows.append({"k": k, "value": [result.value.real, result.value.imag], "abs": abs(result.value)})
-        if args.format == "csv":
-            sys.stdout.write("k,re,im,abs\n")
-            for row in rows:
-                sys.stdout.write(f"{row['k']},{row['value'][0]!r},{row['value'][1]!r},{row['abs']!r}\n")
-            return 0
-        _emit(
-            {
-                "strands": word.strands,
-                "word": list(word.signed_indices()),
-                "sweep": rows,
-            }
-        )
-        return 0
+        document = {"strands": word.strands, "word": list(word.signed_indices())}
+        return _emit_sweep(args, document, lambda k: jones_value_exact(word, k).value)
     if args.format == "csv":
         raise CliError("--format csv is only available with --sweep-k")
     result = jones_value_exact(word, args.k)
@@ -208,6 +196,9 @@ def _run_sample(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    for flag, value, least in (("--n", args.n, 2), ("--k", args.k, 3), ("--samples", args.samples, 1)):
+        if value < least:
+            raise CliError(f"{flag} must be >= {least}, got {value}")
     overrides = {}
     for item in args.tol:
         if "=" not in item:

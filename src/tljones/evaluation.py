@@ -82,36 +82,37 @@ class EvaluationResult:
     raw_trace: complex | None = None
 
     def to_json_dict(self) -> dict:
-        def c2j(z: complex | None):
-            return None if z is None else [z.real, z.imag]
-
-        out = {
-            "method": self.method,
-            "k": self.k,
-            "n": self.n,
-            "word": list(self.word),
-            "writhe": self.writhe,
-            "a_value": c2j(self.a_value),
-            "d": self.d,
-            "normalization": self.normalization,
-            "weighted_trace": c2j(self.weighted_trace),
-            "prefactor": c2j(self.prefactor),
-            "prefactor_rule": self.prefactor_rule,
-            "value": c2j(self.value),
-        }
-        if self.method == "sampled":
-            out.update(
-                {
-                    "iterations": self.iterations,
-                    "epsilon": self.epsilon,
-                    "delta": self.delta,
-                    "seed": self.seed,
-                    "exact_value": c2j(self.exact_value),
-                    "abs_error": self.abs_error,
-                    "raw_trace": c2j(self.raw_trace),
-                }
-            )
+        """Every field, complex numbers as [re, im]; the sampler's fields only for sampled runs."""
+        out = {}
+        for field in dataclasses.fields(self):
+            if field.default is None and self.method != "sampled":
+                continue
+            value = getattr(self, field.name)
+            if isinstance(value, complex):
+                value = [value.real, value.imag]
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[field.name] = value
         return out
+
+
+def evaluation_result(basis: PathBasis, word: BraidWord, wtrace: complex, method: str) -> EvaluationResult:
+    """The record of a weighted trace of the braid's gates, scaled to a Jones value."""
+    params = basis.params
+    w = writhe(word)
+    return EvaluationResult(
+        method=method,
+        k=params.k,
+        n=word.strands,
+        word=word.signed_indices(),
+        writhe=w,
+        a_value=params.a_value,
+        d=params.d,
+        normalization=basis.normalization(),
+        weighted_trace=wtrace,
+        prefactor=writhe_prefactor_numeric(params, w),
+        value=scale_trace(params, w, wtrace),
+    )
 
 
 def build_gates(basis: PathBasis, word: BraidWord) -> dict[int, SectorOperator]:
@@ -129,23 +130,8 @@ def jones_value_exact(
     same phase to floating-point accuracy.
     """
     basis = enumerate_paths(word.strands, k, a_value)
-    params = basis.params
     gates = build_gates(basis, word)
-    wtrace = weighted_trace(basis, gates)
-    w = writhe(word)
-    return EvaluationResult(
-        method="exact-path-model",
-        k=k,
-        n=word.strands,
-        word=word.signed_indices(),
-        writhe=w,
-        a_value=params.a_value,
-        d=params.d,
-        normalization=basis.normalization(),
-        weighted_trace=wtrace,
-        prefactor=writhe_prefactor_numeric(params, w),
-        value=scale_trace(params, w, wtrace),
-    )
+    return evaluation_result(basis, word, weighted_trace(basis, gates), "exact-path-model")
 
 
 def markov_trace_pathmodel(basis: PathBasis, generator_indices: list[int]) -> complex:

@@ -108,10 +108,6 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def shift(self, delta: int) -> LaurentPoly:
-        """Multiply by the monomial x^delta."""
-        return LaurentPoly({e + delta: c for e, c in self.coeffs.items()})
-
     def substitute_inverse(self) -> LaurentPoly:
         """The image under x -> x^-1 (mirror of all exponents)."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})
@@ -120,11 +116,6 @@ class LaurentPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no exponents")
         return min(self.coeffs)
-
-    def max_exponent(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.coeffs)
 
     def div_exact(self, divisor: LaurentPoly) -> LaurentPoly:
         """Exact division; raises ExactDivisionError if a remainder survives.

@@ -49,18 +49,10 @@ def candidate_phases(k: int) -> tuple[complex, ...]:
     return tuple(u * p for u in (1, -1, 1j, -1j) for p in (base, base.conjugate()))
 
 
-def choose_a(k: int, validate: bool = True) -> complex:
-    """The unit-modulus phase A with -A^2 - A^-2 = 2 cos(pi/k) and A^-4 = e^(2 pi i/k).
-
-    validate=False returns the bare phase e^(-i pi / 2k), which violates the
-    loop-weight constraint (it yields -d); it is kept only so callers can
-    demonstrate that the constraint, not the phase's pedigree, carries the
-    unitarity of the gates.
-    """
+def choose_a(k: int) -> complex:
+    """The unit-modulus phase A with -A^2 - A^-2 = 2 cos(pi/k) and A^-4 = e^(2 pi i/k)."""
     if k < 3:
         raise PathModelError(f"k must be >= 3, got {k}")
-    if not validate:
-        return cmath.exp(-1j * math.pi / (2 * k))
     d = 2.0 * math.cos(math.pi / k)
     t_target = cmath.exp(2j * math.pi / k)
     best = None
@@ -81,7 +73,6 @@ class ModelParams:
     d: float
     a_value: complex
     lam: tuple[float, ...]  # lam[l] for l in 0..k, with lam[0] = lam[k] = 0 sentinels
-    a_candidates: tuple[complex, ...]
 
     @classmethod
     def create(cls, k: int, n: int, a_value: complex | None = None) -> ModelParams:
@@ -94,7 +85,7 @@ class ModelParams:
         lam = [0.0] * (k + 1)
         for ell in range(1, k):
             lam[ell] = math.sin(math.pi * ell / k)
-        params = cls(k, n, d, a, tuple(lam), candidate_phases(k))
+        params = cls(k, n, d, a, tuple(lam))
         residual = abs(-a**2 - 1 / a**2 - d)
         if residual > 1e-12:
             raise PathModelError(
@@ -114,7 +105,6 @@ class PathBasis:
 
     params: ModelParams
     paths: tuple[tuple[int, ...], ...]
-    sector_of: dict[tuple[int, ...], int]
     sectors: dict[int, tuple[tuple[int, ...], ...]]
     index_in_sector: dict[tuple[int, ...], int]
 
@@ -158,13 +148,12 @@ def enumerate_paths(n: int, k: int, a_value: complex | None = None) -> PathBasis
                 nxt.append((bits + (1,), end + 1))
         prefixes = nxt
     paths = tuple(sorted(bits for bits, _ in prefixes))
-    sector_of = {bits: path_endpoint(bits) for bits in paths}
     sectors: dict[int, list[tuple[int, ...]]] = {}
     for bits in paths:  # lexicographic order within each sector
-        sectors.setdefault(sector_of[bits], []).append(bits)
+        sectors.setdefault(path_endpoint(bits), []).append(bits)
     frozen = {m: tuple(ps) for m, ps in sectors.items()}
     index = {bits: i for m, ps in frozen.items() for i, bits in enumerate(ps)}
-    return PathBasis(params, paths, sector_of, frozen, index)
+    return PathBasis(params, paths, frozen, index)
 
 
 def adjacency_eigen_check(k: int) -> float:

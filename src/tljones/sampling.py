@@ -43,14 +43,8 @@ import math
 
 import numpy as np
 
-from .braids import BraidWord, writhe
-from .evaluation import (
-    EvaluationResult,
-    build_gates,
-    scale_trace,
-    weighted_trace,
-    writhe_prefactor_numeric,
-)
+from .braids import BraidWord
+from .evaluation import EvaluationResult, build_gates, evaluation_result, scale_trace, weighted_trace
 from .pathmodel import SectorOperator, enumerate_paths
 
 
@@ -102,17 +96,20 @@ def _checked_probability(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def bit_laws(a: complex) -> tuple[float, float]:
+    """(P_re(0), P_im(0)) for the bracket a = <p|U|p>: the one Hadamard-test bit law."""
+    return 0.5 + 0.5 * a.real, 0.5 - 0.5 * a.imag
+
+
 def hadamard_test_re(u: SectorOperator, p: int, rng: np.random.Generator) -> int:
     """One bit of the real test: 0 with probability 1/2 + Re<p|U|p>/2."""
-    a = complex(u.matrix[p, p])
-    p0 = _checked_probability(0.5 + 0.5 * a.real)
+    p0 = _checked_probability(bit_laws(complex(u.matrix[p, p]))[0])
     return 0 if rng.random() < p0 else 1
 
 
 def hadamard_test_im(u: SectorOperator, p: int, rng: np.random.Generator) -> int:
     """One bit of the imaginary test: 0 with probability 1/2 - Im<p|U|p>/2."""
-    a = complex(u.matrix[p, p])
-    p0 = _checked_probability(0.5 - 0.5 * a.imag)
+    p0 = _checked_probability(bit_laws(complex(u.matrix[p, p]))[1])
     return 0 if rng.random() < p0 else 1
 
 
@@ -123,12 +120,11 @@ def forced_bracket(a: complex) -> complex | None:
     (0.0 or 1.0) short-circuits, and |a| <= 1 for a unitary diagonal entry
     then forces the orthogonal component to vanish.
     """
-    p0_re = 0.5 + 0.5 * a.real
+    p0_re, p0_im = bit_laws(a)
     if p0_re == 1.0:
         return 1 + 0j
     if p0_re == 0.0:
         return -1 + 0j
-    p0_im = 0.5 - 0.5 * a.imag
     if p0_im == 0.0:
         return 1j
     if p0_im == 1.0:
@@ -144,12 +140,17 @@ def _frequency(bits_are_one: np.ndarray) -> float:
 
 
 def estimate_bracket(
-    u: SectorOperator, p: int, iterations: int, rng: np.random.Generator
+    u: SectorOperator,
+    p: int,
+    iterations: int,
+    rng: np.random.Generator,
+    im_rng: np.random.Generator | None = None,
 ) -> complex:
-    """Frequency estimate of <p|U|p>: real bits first, then imaginary bits.
+    """Frequency estimate of <p|U|p> from `iterations` bits per channel.
 
-    Degenerate channels short-circuit to the exact forced bracket; otherwise
-    both channels draw `iterations` bits each from the given stream.
+    Real bits come from rng and imaginary bits from im_rng; without im_rng
+    both channels share rng, real bits first. Degenerate channels
+    short-circuit to the exact forced bracket without drawing any bits.
     """
     if iterations < 1:
         raise SamplerError(f"iterations must be >= 1, got {iterations}")
@@ -157,10 +158,9 @@ def estimate_bracket(
     forced = forced_bracket(a)
     if forced is not None:
         return forced
-    p0_re = _checked_probability(0.5 + 0.5 * a.real)
-    p0_im = _checked_probability(0.5 - 0.5 * a.imag)
+    p0_re, p0_im = (_checked_probability(p0) for p0 in bit_laws(a))
     re_est = _frequency(rng.random(iterations) >= p0_re)
-    im_est = -_frequency(rng.random(iterations) >= p0_im)
+    im_est = -_frequency((rng if im_rng is None else im_rng).random(iterations) >= p0_im)
     return complex(re_est, im_est)
 
 
@@ -174,53 +174,30 @@ def sample_jones_value(word: BraidWord, k: int, config: SamplerConfig) -> Evalua
     exact evaluator's arithmetic exactly so error-free runs agree bitwise.
     """
     basis = enumerate_paths(word.strands, k)
-    params = basis.params
     gates = build_gates(basis, word)
     iterations = config.resolved_iterations()
-    lam = params.lam
+    lam = basis.params.lam
 
     raw = 0j
     for m in basis.nonempty_sectors():
-        gate = gates[m]
         sector_sum = 0j
-        for path_index in range(len(basis.sectors[m])):
-            a = complex(gate.matrix[path_index, path_index])
-            forced = forced_bracket(a)
-            if forced is not None:
-                sector_sum += forced
-                continue
-            p0_re = _checked_probability(0.5 + 0.5 * a.real)
-            p0_im = _checked_probability(0.5 - 0.5 * a.imag)
-            re_stream = bit_stream(config.seed, m, path_index, "re")
-            im_stream = bit_stream(config.seed, m, path_index, "im")
-            re_est = _frequency(re_stream.random(iterations) >= p0_re)
-            im_est = -_frequency(im_stream.random(iterations) >= p0_im)
-            sector_sum += complex(re_est, im_est)
+        for p in range(len(basis.sectors[m])):
+            sector_sum += estimate_bracket(
+                gates[m], p, iterations,
+                bit_stream(config.seed, m, p, "re"), bit_stream(config.seed, m, p, "im"),
+            )
         raw += lam[m] * sector_sum
 
-    wtrace_est = raw / basis.normalization()
-    w = writhe(word)
-    exact_wtrace = weighted_trace(basis, gates)
-    exact_value = scale_trace(params, w, exact_wtrace)
-    estimate = scale_trace(params, w, wtrace_est)
-    return EvaluationResult(
-        method="sampled",
-        k=k,
-        n=word.strands,
-        word=word.signed_indices(),
-        writhe=w,
-        a_value=params.a_value,
-        d=params.d,
-        normalization=basis.normalization(),
-        weighted_trace=wtrace_est,
-        prefactor=writhe_prefactor_numeric(params, w),
-        value=estimate,
+    result = evaluation_result(basis, word, raw / basis.normalization(), "sampled")
+    exact_value = scale_trace(basis.params, result.writhe, weighted_trace(basis, gates))
+    return dataclasses.replace(
+        result,
         iterations=iterations,
         epsilon=config.epsilon,
         delta=config.delta,
         seed=config.seed,
         exact_value=exact_value,
-        abs_error=abs(estimate - exact_value),
+        abs_error=abs(result.value - exact_value),
         raw_trace=raw,
     )
 
@@ -260,6 +237,7 @@ def hadamard_circuit_check(u: SectorOperator, p: int, max_dim: int = 64) -> Circ
     if not 0 <= p < dim:
         raise SamplerError(f"basis index {p} out of range for dimension {dim}")
     a = complex(u.matrix[p, p])
+    re_prob0_formula, im_prob0_formula = bit_laws(a)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
     def run(phase_gate: bool) -> float:
@@ -278,7 +256,7 @@ def hadamard_circuit_check(u: SectorOperator, p: int, max_dim: int = 64) -> Circ
         path_index=p,
         bracket=a,
         re_prob0_circuit=run(phase_gate=False),
-        re_prob0_formula=0.5 + 0.5 * a.real,
+        re_prob0_formula=re_prob0_formula,
         im_prob0_circuit=run(phase_gate=True),
-        im_prob0_formula=0.5 - 0.5 * a.imag,
+        im_prob0_formula=im_prob0_formula,
     )

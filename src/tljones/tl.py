@@ -296,10 +296,6 @@ class TraceValue:
         object.__setattr__(self, "d_power", d_power)
 
     @classmethod
-    def from_poly(cls, poly: LaurentPoly) -> TraceValue:
-        return cls(poly, 0)
-
-    @classmethod
     def one(cls) -> TraceValue:
         return cls(LaurentPoly.one(), 0)
 
@@ -346,11 +342,10 @@ class TraceValue:
 
 def markov_trace(element: TLElement) -> TraceValue:
     """Diagrammatic Markov trace: close each diagram and weigh by d^(loops - n)."""
-    total = TraceValue(LaurentPoly.zero(), 0)
+    numerator = LaurentPoly.zero()
     for matching, coeff in element.terms.items():
-        loops = close_and_count_loops(matching)
-        total = total + TraceValue(coeff * LOOP_WEIGHT**loops, element.n)
-    return total
+        numerator = numerator + coeff * LOOP_WEIGHT ** close_and_count_loops(matching)
+    return TraceValue(numerator, element.n)
 
 
 def jones_rep(word: BraidWord) -> TLElement:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import tljones.cli
 from tljones.cli import main
 
 
@@ -44,6 +45,17 @@ class TestExact:
         lines = out.strip().splitlines()
         assert lines[0] == "k,re,im,abs"
         assert len(lines) == 4
+
+    def test_sweep_reads_the_polynomial_only(self, capsys, monkeypatch):
+        def path_model(*args, **kwargs):
+            raise AssertionError("exact --sweep-k evaluated the path model")
+
+        monkeypatch.setattr(tljones.cli, "jones_value_exact", path_model)
+        status, out, err = run_cli(
+            capsys, "exact", "--braid", "1 1 1", "--strands", "2", "--sweep-k", "3..6"
+        )
+        assert status == 0, err
+        assert [row["k"] for row in json.loads(out)["sweep"]] == [3, 4, 5, 6]
 
     def test_csv_without_sweep_rejected(self, capsys):
         status, _, err = run_cli(
@@ -89,6 +101,23 @@ class TestEvaluate:
         status, out, _ = run_cli(capsys, "evaluate", "--braid-file", str(path), "--k", "5")
         assert status == 0
         assert json.loads(out)["word"] == [1, -2, 1, -2]
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "must be an object"),
+            ({"strands": 3, "word": "12"}, "'word' must be a list of integers"),
+            ({"strands": 3, "word": [1.5]}, "'word' must be a list of integers"),
+            ({"strands": True, "word": [1]}, "'strands' must be an integer"),
+        ],
+        ids=["json-list", "word-string", "word-float", "strands-bool"],
+    )
+    def test_braid_file_type_rejected(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "braid.json"
+        path.write_text(json.dumps(payload))
+        status, out, err = run_cli(capsys, "evaluate", "--braid-file", str(path), "--k", "5")
+        assert status == 2 and out == ""
+        assert message in err and len(err.splitlines()) == 1
 
     def test_parse_error_status(self, capsys):
         status, _, err = run_cli(
@@ -154,6 +183,14 @@ class TestVerify:
         )
         assert status == 1
         assert json.loads(out)["all_passed"] is False
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n", "1"), ("--k", "2"), ("--samples", "0"), ("--samples", "-1")]
+    )
+    def test_vacuous_bounds_rejected(self, capsys, flag, value):
+        status, out, err = run_cli(capsys, "verify", flag, value)
+        assert status == 2 and out == ""
+        assert err.startswith(f"error: {flag} must be >=")
 
     def test_bad_tol_syntax(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--tol", "unitarity")

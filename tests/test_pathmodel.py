@@ -90,14 +90,14 @@ class TestParameters:
         assert abs(-a**2 - 1 / a**2 - math.sqrt(2)) < 1e-12
 
     def test_bare_phase_fails_constraint(self):
-        a = choose_a(4, validate=False)
+        a = candidate_phases(4)[0]
         assert a == pytest.approx(cmath.exp(-1j * math.pi / 8))
         assert abs(-a**2 - 1 / a**2 - math.sqrt(2)) > 1  # yields -d, not d
 
     def test_candidate_set_recorded(self):
         params = ModelParams.create(5, 3)
-        assert params.a_value in params.a_candidates
-        assert len(params.a_candidates) == 8
+        assert params.a_value in candidate_phases(5)
+        assert len(candidate_phases(5)) == 8
 
     def test_sentinels(self):
         params = ModelParams.create(7, 2)
