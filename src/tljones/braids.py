@@ -61,6 +61,8 @@ class BraidWord:
         """Inverse of to_json_dict; rejects any value that is not of the documented JSON type."""
         if not isinstance(data, Mapping):
             raise BraidParseError(f"braid JSON must be an object, got {type(data).__name__}")
+        if missing := [key for key in ("strands", "word") if key not in data]:
+            raise BraidParseError(f"braid JSON has no {missing[0]!r} key")
         strands, word = data["strands"], data["word"]
         if not _is_int(strands):
             raise BraidParseError(f"'strands' must be an integer, got {strands!r}")

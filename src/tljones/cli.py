@@ -44,7 +44,7 @@ def _load_braid(args: argparse.Namespace) -> BraidWord:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
             return BraidWord.from_json_dict(data)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot load braid file {path}: {exc}") from exc
     if args.strands is None:
         raise CliError("--strands is required with --braid")
@@ -166,8 +166,10 @@ def _run_exact(args: argparse.Namespace) -> int:
 
 def _run_evaluate(args: argparse.Namespace) -> int:
     word = _load_braid(args)
-    if bool(args.k) == bool(args.sweep_k):
+    if (args.k is not None) == bool(args.sweep_k):
         raise CliError("provide exactly one of --k or --sweep-k")
+    if args.k is not None and args.k < 3:
+        raise CliError(f"--k must be >= 3, got {args.k}")
     if args.sweep_k:
         document = {"strands": word.strands, "word": list(word.signed_indices())}
         return _emit_sweep(args, document, lambda k: jones_value_exact(word, k).value)

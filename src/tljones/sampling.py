@@ -17,7 +17,9 @@ phase gate diag(1, i) for the imaginary variant.
 
 Bit streams are counter-based (Philox keyed by a SHA-256 hash of the master
 seed, the sector, the walk index, and the test kind), so results are
-reproducible and independent of loop scheduling or thread count.
+reproducible and independent of loop scheduling or thread count: each walk's
+draws run on a pool with one thread per core, in fixed-size chunks, and are
+summed in walk order. A call over MAX_SHOTS is refused before any gate is built.
 
 Degenerate-channel short circuit: when one channel's Bernoulli law is
 deterministic (probability exactly 0 or 1), that component of the bracket is
@@ -37,9 +39,11 @@ value itself.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
+import os
 
 import numpy as np
 
@@ -50,6 +54,13 @@ from .pathmodel import SectorOperator, enumerate_paths
 
 class SamplerError(ValueError):
     """Invalid sampler configuration or a non-unitary operator."""
+
+
+# Most shots (2 x iterations x walks) one sample_jones_value call may draw:
+# about 7 s of bits on one core of a 2-vCPU Xeon.
+MAX_SHOTS = 10**9
+
+_CHUNK = 1 << 16  # raw Philox words drawn at once: 512 KiB buffers whatever epsilon is
 
 
 def iterations_for(epsilon: float, delta: float) -> int:
@@ -132,11 +143,26 @@ def forced_bracket(a: complex) -> complex | None:
     return None
 
 
-def _frequency(bits_are_one: np.ndarray) -> float:
-    """(#0 - #1) / shots for a boolean array marking the 1-bits."""
-    shots = bits_are_one.size
-    ones = int(np.count_nonzero(bits_are_one))
-    return (shots - 2 * ones) / shots
+def _frequency(rng: np.random.Generator, n: int, p0: float) -> float:
+    """(#0 - #1) / n over the next n bits of the law Prob(0) = p0, drawn in chunks.
+
+    random() is (raw >> 11) * 2^-53, so random() >= p0 exactly when
+    raw >= ceil(p0 * 2^53) << 11; p0 == 1.0 has no 1-bits but still consumes
+    its n words, keeping a shared stream aligned.
+    """
+    threshold = math.ceil(p0 * 2**53) << 11
+    ones = 0
+    for start in range(0, n, _CHUNK):
+        raw = rng.bit_generator.random_raw(min(_CHUNK, n - start))
+        if threshold < 2**64:
+            ones += int(np.count_nonzero(raw >= threshold))
+    return (n - 2 * ones) / n
+
+
+def _draw_bracket(a: complex, iterations: int, re_rng: np.random.Generator, im_rng: np.random.Generator) -> complex:
+    """Frequency estimate of a non-forced bracket a: real bits, then imaginary bits."""
+    p0_re, p0_im = (_checked_probability(p0) for p0 in bit_laws(a))
+    return complex(_frequency(re_rng, iterations, p0_re), -_frequency(im_rng, iterations, p0_im))
 
 
 def estimate_bracket(
@@ -158,10 +184,12 @@ def estimate_bracket(
     forced = forced_bracket(a)
     if forced is not None:
         return forced
-    p0_re, p0_im = (_checked_probability(p0) for p0 in bit_laws(a))
-    re_est = _frequency(rng.random(iterations) >= p0_re)
-    im_est = -_frequency((rng if im_rng is None else im_rng).random(iterations) >= p0_im)
-    return complex(re_est, im_est)
+    return _draw_bracket(a, iterations, rng, rng if im_rng is None else im_rng)
+
+
+def _workers() -> int:
+    """Draw threads per sample_jones_value call: one per core this process may use."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def sample_jones_value(word: BraidWord, k: int, config: SamplerConfig) -> EvaluationResult:
@@ -174,18 +202,28 @@ def sample_jones_value(word: BraidWord, k: int, config: SamplerConfig) -> Evalua
     exact evaluator's arithmetic exactly so error-free runs agree bitwise.
     """
     basis = enumerate_paths(word.strands, k)
-    gates = build_gates(basis, word)
     iterations = config.resolved_iterations()
+    if 2 * iterations * basis.total_dim() > MAX_SHOTS:
+        raise SamplerError(f"2 x {iterations} iterations x {basis.total_dim()} walks exceeds the shot budget {MAX_SHOTS}")
+    gates = build_gates(basis, word)
     lam = basis.params.lam
 
+    # Streams and forced checks stay on this thread, so wrappers around them never
+    # run concurrently; workers only draw bits.
+    brackets = {m: [] for m in basis.nonempty_sectors()}
+    with concurrent.futures.ThreadPoolExecutor(_workers()) as pool:
+        for m, row in brackets.items():
+            for p in range(len(basis.sectors[m])):
+                re_rng, im_rng = bit_stream(config.seed, m, p, "re"), bit_stream(config.seed, m, p, "im")
+                a = complex(gates[m].matrix[p, p])
+                forced = forced_bracket(a)
+                row.append(forced if forced is not None else pool.submit(_draw_bracket, a, iterations, re_rng, im_rng))
+
     raw = 0j
-    for m in basis.nonempty_sectors():
+    for m, row in brackets.items():
         sector_sum = 0j
-        for p in range(len(basis.sectors[m])):
-            sector_sum += estimate_bracket(
-                gates[m], p, iterations,
-                bit_stream(config.seed, m, p, "re"), bit_stream(config.seed, m, p, "im"),
-            )
+        for bracket in row:
+            sector_sum += bracket if isinstance(bracket, complex) else bracket.result()
         raw += lam[m] * sector_sum
 
     result = evaluation_result(basis, word, raw / basis.normalization(), "sampled")

@@ -119,6 +119,24 @@ class TestEvaluate:
         assert status == 2 and out == ""
         assert message in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [({"word": [1]}, "strands"), ({"strands": 2}, "word")],
+        ids=["no-strands", "no-word"],
+    )
+    def test_braid_file_missing_key(self, capsys, tmp_path, payload, key):
+        path = tmp_path / "braid.json"
+        path.write_text(json.dumps(payload))
+        status, out, err = run_cli(capsys, "evaluate", "--braid-file", str(path), "--k", "5")
+        assert status == 2 and out == ""
+        assert f"has no '{key}' key" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("k", ["0", "2", "-1"])
+    def test_small_k_rejected(self, capsys, k):
+        status, out, err = run_cli(capsys, "evaluate", "--braid", "1", "--strands", "2", "--k", k)
+        assert status == 2 and out == ""
+        assert f"--k must be >= 3, got {k}" in err and len(err.splitlines()) == 1
+
     def test_parse_error_status(self, capsys):
         status, _, err = run_cli(
             capsys, "evaluate", "--braid", "9", "--strands", "2", "--k", "5"
@@ -148,6 +166,13 @@ class TestSample:
         assert status == 0
         assert data["headline"] == "raw_trace"
         assert data["value"] == data["raw_trace"]
+
+    def test_shot_budget_rejected(self, capsys):
+        status, out, err = run_cli(
+            capsys, "sample", "--braid", "1 1 1", "--strands", "2", "--k", "5", "--epsilon", "1e-6",
+        )
+        assert status == 2 and out == ""
+        assert "budget" in err and len(err.splitlines()) == 1
 
     def test_byte_identical_repeat(self, capsys):
         args = (

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from tljones import sampling
 from tljones.braids import BraidWord, parse_braid_word
-from tljones.evaluation import jones_value_exact
+from tljones.evaluation import build_gates, jones_value_exact
 from tljones.pathmodel import SectorOperator, enumerate_paths, global_gate
 from tljones.sampling import (
     SamplerConfig,
@@ -141,6 +142,33 @@ class TestEstimateBracket:
             estimate_bracket(scalar_op(0.5), 0, 0, bit_stream(0, 0, 0, "re"))
 
 
+class TestChunkedCount:
+    """The raw-word threshold count against the random() >= p0 law it replaces."""
+
+    @staticmethod
+    def assert_same_bits(p0: float, n: int) -> None:
+        reference = bit_stream(5, 0, 0, "re")
+        ones = int(np.count_nonzero(reference.random(n) >= p0))
+        chunked = bit_stream(5, 0, 0, "re")
+        assert sampling._frequency(chunked, n, p0) == (n - 2 * ones) / n
+        assert chunked.random() == reference.random()  # both consumed exactly n words
+
+    @pytest.mark.parametrize("p0", [0.0, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0])
+    @pytest.mark.parametrize("n", [1000, sampling._CHUNK, 3 * sampling._CHUNK + 12345])
+    def test_matches_uniform_law(self, p0, n):
+        self.assert_same_bits(p0, n)
+
+    def test_threshold_at_a_drawn_value(self):
+        # p0 equal to a drawn uniform counts that draw as a 1-bit, the next float up does not.
+        # The draw picked has a raw word with its low 11 bits zero, and lies below 1/2,
+        # where floats are finer than 2^-53.
+        raw = bit_stream(5, 0, 0, "re").bit_generator.random_raw(10**5)
+        i = int(np.flatnonzero(((raw & 0x7FF) == 0) & (raw < 2**63))[0])
+        drawn = float(raw[i] >> 11) * 2.0**-53
+        for p0 in (drawn, np.nextafter(drawn, 0.0), np.nextafter(drawn, 1.0)):
+            self.assert_same_bits(float(p0), i + 1)
+
+
 class TestSampleJonesValue:
     def test_identity_braid_zero_error(self):
         for n in (1, 2, 3):
@@ -190,6 +218,43 @@ class TestSampleJonesValue:
             ]
             errors.append(np.mean([abs(v - exact) for v in runs]))
         assert errors[1] < errors[0] / 3  # error shrinks roughly like 1/sqrt(iters)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_independent_of_worker_count(self, monkeypatch, workers):
+        word = parse_braid_word("1 -2 1 3 -2", 4)
+        config = SamplerConfig(epsilon=0.05, seed=17)
+        basis = enumerate_paths(4, 6)
+        gates = build_gates(basis, word)
+        serial_raw = 0j
+        for m in basis.nonempty_sectors():
+            sector_sum = 0j
+            for p in range(len(basis.sectors[m])):
+                sector_sum += estimate_bracket(
+                    gates[m], p, config.resolved_iterations(),
+                    bit_stream(17, m, p, "re"), bit_stream(17, m, p, "im"),
+                )
+            serial_raw += basis.params.lam[m] * sector_sum
+        reference = sample_jones_value(word, 6, config)
+        monkeypatch.setattr(sampling, "_workers", lambda: workers)
+        res = sample_jones_value(word, 6, config)
+        assert res == reference
+        assert res.raw_trace == serial_raw
+
+    def test_shot_budget(self, monkeypatch):
+        word = parse_braid_word("1 1 1", 2)
+        walks = enumerate_paths(2, 5).total_dim()
+        monkeypatch.setattr(sampling, "MAX_SHOTS", 2 * 100 * walks)
+        assert sample_jones_value(word, 5, SamplerConfig(iterations=100)).iterations == 100
+        with pytest.raises(SamplerError, match="budget"):
+            sample_jones_value(word, 5, SamplerConfig(iterations=101))
+
+    def test_shot_budget_checked_before_gates(self, monkeypatch):
+        def no_gates(*args):
+            raise AssertionError("gates built for a run over the shot budget")
+
+        monkeypatch.setattr(sampling, "build_gates", no_gates)
+        with pytest.raises(SamplerError, match="budget"):
+            sample_jones_value(parse_braid_word("1 1 1", 2), 5, SamplerConfig(epsilon=1e-6))
 
     def test_raw_trace_is_pre_normalization(self):
         word = parse_braid_word("1 1 1", 2)
