@@ -10,6 +10,7 @@ values that the CLI serializes and the acceptance tests assert on.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import random
 
@@ -34,7 +35,12 @@ class Tolerances:
     eigen_residual: float = 1e-12
     trace_compat: float = 1e-10
     oracle_match: float = 1e-9
-    value_recompute: float = 1e-12
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value >= 0):  # a NaN bound would pass every residual
+                raise ValueError(f"tolerance {field.name} must be finite and >= 0, got {value}")
 
     def replace(self, **overrides: float) -> Tolerances:
         return dataclasses.replace(self, **overrides)

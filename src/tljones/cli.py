@@ -21,7 +21,7 @@ from . import checks
 from .braids import BraidError, BraidWord, parse_braid_word, writhe
 from .evaluation import jones_value_exact
 from .laurent import convert_to_t
-from .pathmodel import PathModelError, choose_a, enumerate_paths
+from .pathmodel import PathModelError, choose_a, count_walks
 from .sampling import SamplerConfig, SamplerError, sample_jones_value
 from .tl import jones_polynomial
 
@@ -130,13 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_paths(args: argparse.Namespace) -> int:
-    basis = enumerate_paths(args.n, args.k)
+    dims = count_walks(args.n, args.k)
     _emit(
         {
             "n": args.n,
             "k": args.k,
-            "dims": {str(m): dim for m, dim in sorted(basis.sector_dims().items())},
-            "total": basis.total_dim(),
+            "dims": {str(m): dim for m, dim in sorted(dims.items())},
+            "total": sum(dims.values()),
         }
     )
     return 0

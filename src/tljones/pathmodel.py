@@ -4,8 +4,9 @@ The model lives on walks over the path graph with vertices 1..k-1 (an edge
 between consecutive vertices). A walk of length n starting at vertex 1 is a
 bit string: bit 1 steps right, bit 0 steps left, and every prefix endpoint
 must stay inside [1, k-1]. Walks are grouped into sectors by their endpoint
-m; every operator built here preserves sectors, so all matrices are stored
-as independent dense blocks, one per nonempty sector.
+m; every operator built here preserves sectors. Column c of Phi_i is diag[c]
+at row c plus off[c] at row partner[c], one table per (i, sector), so a letter
+updates a product column by column in O(dim^2) (see _word_product).
 
 With the loop weight d = 2 cos(pi/k), the vector lambda_l = sin(pi l / k) is
 the d-eigenvector of the path graph's adjacency matrix, and the generator
@@ -106,7 +107,7 @@ class PathBasis:
     params: ModelParams
     paths: tuple[tuple[int, ...], ...]
     sectors: dict[int, tuple[tuple[int, ...], ...]]
-    index_in_sector: dict[tuple[int, ...], int]
+    tables: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]  # (i, m) -> (diag, off, partner)
 
     @property
     def n(self) -> int:
@@ -131,13 +132,33 @@ class PathBasis:
         return sum(lam[m] * len(paths) for m, paths in sorted(self.sectors.items()))
 
 
+def count_walks(n: int, k: int) -> dict[int, int]:
+    """Admissible walks per nonempty endpoint sector, by an O(n k) dynamic program."""
+    if n < 1 or k < 3:
+        raise PathModelError(f"need n >= 1 and k >= 3, got n={n}, k={k}")
+    counts = [0, 1] + [0] * (k - 1)  # counts[v] for v in 0..k; 0 and k are sentinels
+    for _ in range(n):
+        counts = [0] + [counts[v - 1] + counts[v + 1] for v in range(1, k)] + [0]
+    return {m: count for m, count in enumerate(counts) if count}
+
+
+# Largest total of the dense whole-word gates (one complex dim_m x dim_m block
+# per sector, 16 bytes an entry) that enumerate_paths accepts, so an oversized
+# model is refused before any walk is built instead of running out of memory.
+MAX_GATE_BYTES = 2 << 30
+
+
 def enumerate_paths(n: int, k: int, a_value: complex | None = None) -> PathBasis:
     """All admissible walks of length n, grouped by endpoint sector.
 
-    Extends admissible prefixes step by step, so the work is proportional to
+    Refuses a model whose dense gates would exceed MAX_GATE_BYTES, then
+    extends admissible prefixes step by step, so the work is proportional to
     the number of admissible walks rather than 2^n.
     """
     params = ModelParams.create(k, n, a_value)
+    gate_bytes = sum(16 * dim**2 for dim in count_walks(n, k).values())
+    if gate_bytes > MAX_GATE_BYTES:
+        raise PathModelError(f"n={n}, k={k}: the dense gates need {gate_bytes} bytes, over MAX_GATE_BYTES = {MAX_GATE_BYTES}")
     prefixes: list[tuple[tuple[int, ...], int]] = [((), 1)]
     for _ in range(n):
         nxt = []
@@ -152,8 +173,20 @@ def enumerate_paths(n: int, k: int, a_value: complex | None = None) -> PathBasis
     for bits in paths:  # lexicographic order within each sector
         sectors.setdefault(path_endpoint(bits), []).append(bits)
     frozen = {m: tuple(ps) for m, ps in sectors.items()}
-    index = {bits: i for m, ps in frozen.items() for i, bits in enumerate(ps)}
-    return PathBasis(params, paths, frozen, index)
+    lam = params.lam
+    tables = {(i, m): (np.zeros(len(ws)), np.zeros(len(ws)), np.arange(len(ws))) for m, ws in frozen.items() for i in range(1, n)}
+    for m, walks in frozen.items():
+        index = {bits: c for c, bits in enumerate(walks)}
+        for c, bits in enumerate(walks):
+            e = 1  # endpoint of the first i-1 bits
+            for i, (b1, b2) in enumerate(zip(bits, bits[1:]), 1):
+                if b1 != b2:  # a monotone bit pair is annihilated: its column stays zero
+                    diag, off, partner = tables[i, m]
+                    diag[c] = (lam[e - 1] if b1 == 0 else lam[e + 1]) / lam[e]
+                    off[c] = math.sqrt(lam[e - 1] * lam[e + 1]) / lam[e]  # 0 iff the swapped walk is inadmissible
+                    partner[c] = index.get(bits[: i - 1] + (b2, b1) + bits[i + 1 :], c)
+                e += 2 * b1 - 1
+    return PathBasis(params, paths, frozen, tables)
 
 
 def adjacency_eigen_check(k: int) -> float:
@@ -182,27 +215,25 @@ class SectorOperator:
         return self.matrix.shape[0]
 
 
-def _phi_block(basis: PathBasis, i: int, m: int) -> np.ndarray:
-    """Generator image on sector m, acting on bits (i, i+1); exactly symmetric."""
+def _phi_block(basis: PathBasis, i: int, m: int, x: complex = 1.0, y: complex = 0.0) -> np.ndarray:
+    """Dense x Phi_i + y I on sector m, Phi_i acting on bits (i, i+1); Phi_i is exactly symmetric."""
     if not 1 <= i <= basis.n - 1:
         raise PathModelError(f"generator index {i} out of range [1, {basis.n - 1}]")
-    lam = basis.params.lam
-    paths = basis.sectors[m]
-    dim = len(paths)
-    block = np.zeros((dim, dim))
-    for col, bits in enumerate(paths):
-        b1, b2 = bits[i - 1], bits[i]
-        if b1 == b2:
-            continue  # monotone bit pair: the generator annihilates this walk
-        e = path_endpoint(bits[: i - 1])
-        cross = math.sqrt(lam[e - 1] * lam[e + 1]) / lam[e]
-        diag = (lam[e - 1] if (b1, b2) == (0, 1) else lam[e + 1]) / lam[e]
-        block[col, col] = diag
-        if cross != 0.0:
-            partner = bits[: i - 1] + (b2, b1) + bits[i + 1 :]
-            row = basis.index_in_sector[partner]
-            block[row, col] = cross
+    diag, off, partner = basis.tables[i, m]
+    cols = np.arange(len(diag))
+    block = np.zeros((len(diag), len(diag)), dtype=np.result_type(x, y))
+    block[partner, cols] = x * off
+    block[cols, cols] = x * diag + y  # after off: a column without partner has partner[c] = c
     return block
+
+
+def _word_product(basis: PathBasis, m: int, letters, dtype) -> np.ndarray:
+    """Product of x Phi_i + y I over (i, x, y) in letters on sector m: acc * (x diag + y) + acc[:, partner] * (x off)."""
+    acc = np.eye(len(basis.sectors[m]), dtype=dtype)
+    for i, x, y in letters:
+        diag, off, partner = basis.tables[i, m]
+        acc = acc * (x * diag + y) + acc[:, partner] * (x * off)
+    return acc
 
 
 def phi_generator(basis: PathBasis, i: int) -> list[SectorOperator]:
@@ -217,11 +248,7 @@ def braid_gen_unitary(basis: PathBasis, i: int, exponent: int, m: int) -> Sector
     if exponent not in (1, -1):
         raise PathModelError(f"exponent must be +1 or -1, got {exponent}")
     a = basis.params.a_value
-    phi = _phi_block(basis, i, m).astype(complex)
-    eye = np.eye(phi.shape[0], dtype=complex)
-    if exponent == 1:
-        return SectorOperator(m, a * phi + (1 / a) * eye)
-    return SectorOperator(m, (1 / a) * phi + a * eye)
+    return SectorOperator(m, _phi_block(basis, i, m, *((a, 1 / a) if exponent == 1 else (1 / a, a))))
 
 
 def global_gate(basis: PathBasis, word: BraidWord, m: int) -> SectorOperator:
@@ -232,20 +259,13 @@ def global_gate(basis: PathBasis, word: BraidWord, m: int) -> SectorOperator:
         )
     if m not in basis.sectors:
         raise PathModelError(f"sector {m} is empty at n={basis.n}, k={basis.k}")
-    dim = len(basis.sectors[m])
-    acc = np.eye(dim, dtype=complex)
-    for index, sign in word.letters:
-        acc = acc @ braid_gen_unitary(basis, index, sign, m).matrix
-    return SectorOperator(m, acc)
+    a = basis.params.a_value
+    letters = [(i, a, 1 / a) if sign == 1 else (i, 1 / a, a) for i, sign in word.letters]
+    return SectorOperator(m, _word_product(basis, m, letters, complex))
 
 
 def sector_products(basis: PathBasis, generator_indices: list[int]) -> dict[int, np.ndarray]:
     """Per-sector matrix of a word in the generator images (identity for [])."""
-    out = {}
-    for m in basis.nonempty_sectors():
-        dim = len(basis.sectors[m])
-        acc = np.eye(dim)
-        for i in generator_indices:
-            acc = acc @ _phi_block(basis, i, m)
-        out[m] = acc
-    return out
+    if not all(1 <= i <= basis.n - 1 for i in generator_indices):
+        raise PathModelError(f"generator indices {generator_indices} out of range [1, {basis.n - 1}]")
+    return {m: _word_product(basis, m, [(i, 1.0, 0.0) for i in generator_indices], float) for m in basis.nonempty_sectors()}

@@ -195,10 +195,6 @@ class TLElement:
     def generator(cls, n: int, i: int) -> TLElement:
         return cls(n, {PlanarMatching.generator(n, i): LaurentPoly.one()})
 
-    @classmethod
-    def zero(cls, n: int) -> TLElement:
-        return cls(n, {})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -294,10 +290,6 @@ class TraceValue:
             d_power = 0
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "d_power", d_power)
-
-    @classmethod
-    def one(cls) -> TraceValue:
-        return cls(LaurentPoly.one(), 0)
 
     def __add__(self, other: TraceValue) -> TraceValue:
         if not isinstance(other, TraceValue):

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 import tljones.cli
+import tljones.pathmodel
+from tljones import checks
 from tljones.cli import main
 
 
@@ -18,6 +21,20 @@ class TestPaths:
         assert status == 0 and err == ""
         data = json.loads(out)
         assert data == {"n": 3, "k": 5, "dims": {"2": 2, "4": 1}, "total": 3}
+
+    def test_counts_without_enumerating(self, capsys, monkeypatch):
+        monkeypatch.setattr(tljones.pathmodel, "path_endpoint", None)  # grouping walks into sectors would fail
+        status, out, err = run_cli(capsys, "paths", "--n", "40", "--k", "12")
+        assert status == 0 and err == ""
+        assert json.loads(out)["total"] == 91586476950
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sample"])
+def test_oversized_model_refused_before_enumeration(capsys, monkeypatch, command):
+    monkeypatch.setattr(tljones.pathmodel, "path_endpoint", None)  # grouping walks into sectors would fail
+    status, out, err = run_cli(capsys, command, "--braid", "1", "--strands", "18", "--k", "8")
+    assert status == 2 and out == ""
+    assert err.startswith("error: n=18, k=8: ") and "MAX_GATE_BYTES" in err and len(err.splitlines()) == 1
 
 
 class TestExact:
@@ -216,6 +233,21 @@ class TestVerify:
         status, out, err = run_cli(capsys, "verify", flag, value)
         assert status == 2 and out == ""
         assert err.startswith(f"error: {flag} must be >=")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-12"])
+    def test_non_finite_or_negative_tolerance_rejected(self, capsys, value):
+        status, out, err = run_cli(capsys, "verify", "--n", "3", "--k", "4", "--samples", "2", "--tol", f"unitarity={value}")
+        assert status == 2 and out == ""
+        assert err.startswith("error: tolerance unitarity must be finite and >= 0")
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(checks.Tolerances)])
+    def test_every_tolerance_field_checked_where_built(self, field):
+        with pytest.raises(ValueError, match=f"tolerance {field} must be finite"):
+            checks.Tolerances(**{field: float("nan")})
+
+    def test_value_recompute_is_not_a_tolerance(self, capsys):
+        status, out, err = run_cli(capsys, "verify", "--tol", "value_recompute=1e-12")
+        assert status == 2 and out == "" and "value_recompute" in err
 
     def test_bad_tol_syntax(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--tol", "unitarity")

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 from tljones.braids import BraidWord, parse_braid_word
+import tljones.pathmodel
 from tljones.pathmodel import (
+    MAX_GATE_BYTES,
     ModelParams,
     PathModelError,
     adjacency_eigen_check,
     braid_gen_unitary,
     candidate_phases,
     choose_a,
+    count_walks,
     enumerate_paths,
     global_gate,
     path_endpoint,
     phi_generator,
+    sector_products,
 )
 
 
@@ -35,6 +39,32 @@ def brute_force_paths(n: int, k: int) -> list[tuple[int, ...]]:
         if ok:
             out.append(bits)
     return sorted(out)
+
+
+def reference_phi_block(basis, i: int, m: int) -> np.ndarray:
+    """Dense Phi_i on sector m built column by column from the walks (test oracle)."""
+    lam = basis.params.lam
+    paths = basis.sectors[m]
+    index = {bits: c for c, bits in enumerate(paths)}
+    block = np.zeros((len(paths), len(paths)))
+    for col, bits in enumerate(paths):
+        b1, b2 = bits[i - 1], bits[i]
+        if b1 == b2:
+            continue
+        e = path_endpoint(bits[: i - 1])
+        cross = math.sqrt(lam[e - 1] * lam[e + 1]) / lam[e]
+        block[col, col] = (lam[e - 1] if (b1, b2) == (0, 1) else lam[e + 1]) / lam[e]
+        if cross != 0.0:
+            block[index[bits[: i - 1] + (b2, b1) + bits[i + 1 :]], col] = cross
+    return block
+
+
+def reference_gate(basis, i: int, exponent: int, m: int) -> np.ndarray:
+    """Dense braid-letter gate A Phi + A^-1 I (or A^-1 Phi + A I) from the reference block."""
+    a = basis.params.a_value
+    phi = reference_phi_block(basis, i, m).astype(complex)
+    eye = np.eye(phi.shape[0], dtype=complex)
+    return a * phi + (1 / a) * eye if exponent == 1 else (1 / a) * phi + a * eye
 
 
 class TestEnumeration:
@@ -71,6 +101,25 @@ class TestEnumeration:
     def test_k2_rejected(self):
         with pytest.raises(PathModelError):
             enumerate_paths(2, 2)
+
+    @pytest.mark.parametrize("k", range(3, 11))
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_count_walks_matches_enumeration(self, n, k):
+        assert count_walks(n, k) == enumerate_paths(n, k).sector_dims()
+
+    @pytest.mark.parametrize("n, k", [(0, 5), (3, 2)])
+    def test_count_walks_rejects_bad_sizes(self, n, k):
+        with pytest.raises(PathModelError):
+            count_walks(n, k)
+
+    def test_gate_memory_bound(self, monkeypatch):
+        def gate_bytes(n, k):
+            return sum(16 * dim**2 for dim in count_walks(n, k).values())
+
+        assert gate_bytes(16, 12) <= MAX_GATE_BYTES < gate_bytes(18, 8)
+        monkeypatch.setattr(tljones.pathmodel, "path_endpoint", None)  # grouping walks into sectors would fail
+        with pytest.raises(PathModelError, match=r"n=18, k=8: .* 4656926720 bytes"):
+            enumerate_paths(18, 8)
 
 
 class TestParameters:
@@ -239,3 +288,49 @@ class TestGlobalGate:
         phases = candidate_phases(5)
         for a in phases:
             assert any(abs(a.conjugate() - b) < 1e-15 for b in phases)
+
+
+class TestLetterTables:
+    @pytest.mark.parametrize("k", range(3, 11))
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_dense_views_match_reference(self, n, k):
+        basis = enumerate_paths(n, k)
+        for i in range(1, n):
+            blocks = {op.m: op.matrix for op in phi_generator(basis, i)}
+            assert blocks.keys() == set(basis.nonempty_sectors())
+            for m, block in blocks.items():
+                assert np.array_equal(block, reference_phi_block(basis, i, m))
+                for exponent in (1, -1):
+                    gate = braid_gen_unitary(basis, i, exponent, m).matrix
+                    assert np.array_equal(gate, reference_gate(basis, i, exponent, m))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_products_match_reference(self, seed):
+        rng = random.Random(seed)
+        n, k = rng.randint(2, 7), rng.randint(3, 10)
+        letters = [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(2, 12))]
+        letters[1] = letters[0]  # a repeated letter
+        basis = enumerate_paths(n, k)
+        products = sector_products(basis, [i for i, _ in letters])
+        for m in basis.nonempty_sectors():
+            dim = len(basis.sectors[m])
+            ref_gate, ref_phi = np.eye(dim, dtype=complex), np.eye(dim)
+            for i, exponent in letters:
+                ref_gate = ref_gate @ reference_gate(basis, i, exponent, m)
+                ref_phi = ref_phi @ reference_phi_block(basis, i, m)
+            gate = global_gate(basis, BraidWord(n, tuple(letters)), m).matrix
+            assert np.max(np.abs(gate - ref_gate)) <= 1e-13
+            assert np.max(np.abs(products[m] - ref_phi)) <= 1e-13
+
+    def test_empty_word_is_exact_identity(self):
+        basis = enumerate_paths(5, 6)
+        products = sector_products(basis, [])
+        for m in basis.nonempty_sectors():
+            dim = len(basis.sectors[m])
+            assert products[m].dtype == np.float64 and np.array_equal(products[m], np.eye(dim))
+            gate = global_gate(basis, BraidWord.identity(5), m).matrix
+            assert gate.dtype == np.complex128 and np.array_equal(gate, np.eye(dim))
+
+    def test_product_rejects_out_of_range_generator(self):
+        with pytest.raises(PathModelError, match="out of range"):
+            sector_products(enumerate_paths(3, 5), [1, 3])
