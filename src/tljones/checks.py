@@ -63,6 +63,10 @@ def resolve_tolerances(profile: str | None = None, **overrides: float) -> Tolera
     name = profile or os.environ.get("TLJONES_TOL_PROFILE", "default")
     if name not in PROFILES:
         raise ValueError(f"unknown tolerance profile {name!r}; choose from {sorted(PROFILES)}")
+    fields = [field.name for field in dataclasses.fields(Tolerances)]
+    for field in overrides:
+        if field not in fields:
+            raise ValueError(f"unknown tolerance {field!r}; choose from {fields}")
     return PROFILES[name].replace(**overrides)
 
 

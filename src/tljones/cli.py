@@ -210,10 +210,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             overrides[name] = float(value)
         except ValueError:
             raise CliError(f"--tol {item!r}: value is not a number") from None
-    try:
-        tol = checks.resolve_tolerances(args.profile, **overrides)
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    tol = checks.resolve_tolerances(args.profile, **overrides)  # ValueError exits 2 in main
     reports = checks.run_verification(
         n_max=args.n, k_max=args.k, samples=args.samples, seed=args.seed, tol=tol
     )

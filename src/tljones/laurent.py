@@ -9,7 +9,7 @@ Jones variable obtained through the substitution t = A^-4.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class ExactDivisionError(ArithmeticError):
@@ -22,9 +22,8 @@ class LaurentPoly:
 
     coeffs: Mapping[int, int]
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        filtered = {int(e): int(c) for e, c in items if c != 0}
+    def __init__(self, coeffs: Mapping[int, int]):
+        filtered = {int(e): int(c) for e, c in coeffs.items() if c != 0}
         object.__setattr__(self, "coeffs", filtered)
 
     @classmethod

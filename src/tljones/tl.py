@@ -46,45 +46,52 @@ class TLError(ValueError):
     """Invalid diagram-algebra construction or operation."""
 
 
-def _circular_position(point: int, n: int) -> int:
-    """Boundary order for planarity: top left-to-right, then bottom right-to-left."""
-    if point <= n:
-        return point - 1
-    return 3 * n - point
-
-
-def _is_planar(pairs: Iterable[tuple[int, int]], n: int) -> bool:
-    partner = {}
-    for a, b in pairs:
-        partner[_circular_position(a, n)] = _circular_position(b, n)
-        partner[_circular_position(b, n)] = _circular_position(a, n)
+def _is_planar(partner: list[int], n: int) -> bool:
+    """Walk the boundary in circular order (top left-to-right, then bottom
+    right-to-left); a matching is non-crossing iff every second endpoint
+    meets its partner on top of the stack of open first endpoints."""
     stack: list[int] = []
-    for pos in range(2 * n):
-        if partner[pos] > pos:
-            stack.append(pos)
-        elif not stack or stack.pop() != partner[pos]:
-            return False
+    for p in (*range(1, n + 1), *range(2 * n, n, -1)):
+        if stack and stack[-1] == partner[p]:
+            stack.pop()
+        else:
+            stack.append(p)
     return not stack
 
 
 @dataclasses.dataclass(frozen=True, order=True)
 class PlanarMatching:
-    """A non-crossing perfect matching of the 2n boundary points of a rectangle."""
+    """A non-crossing perfect matching of the 2n boundary points of a rectangle.
+
+    Stored as the partner table: partner[p] is the point joined to p, for
+    p in 1..2n (partner[0] is 0). Ordering the tables orders the canonical
+    pairs the same way.
+    """
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
+    partner: tuple[int, ...]
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 1:
             raise TLError(f"strand count must be >= 1, got {n}")
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", canon)
-        points = [p for pair in canon for p in pair]
-        if sorted(points) != list(range(1, 2 * n + 1)):
+        if sorted(p for pair in canon for p in pair) != list(range(1, 2 * n + 1)):
             raise TLError(f"pairs {canon} are not a perfect matching of 1..{2 * n}")
-        if not _is_planar(canon, n):
+        partner = [0] * (2 * n + 1)
+        for a, b in canon:
+            partner[a], partner[b] = b, a
+        if not _is_planar(partner, n):
             raise TLError(f"matching {canon} is not planar")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "partner", tuple(partner))
+
+    @classmethod
+    def _from_partner(cls, n: int, partner: list[int]) -> PlanarMatching:
+        """Wrap a table that is planar by construction (a stacking product), unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "partner", tuple(partner))
+        return m
 
     @classmethod
     def identity(cls, n: int) -> PlanarMatching:
@@ -99,74 +106,66 @@ class PlanarMatching:
         pairs += [(j, n + j) for j in range(1, n + 1) if j not in (i, i + 1)]
         return cls(n, tuple(pairs))
 
-    def partner_map(self) -> dict[int, int]:
-        out = {}
-        for a, b in self.pairs:
-            out[a] = b
-            out[b] = a
-        return out
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Canonical pairs (a, b) with a < b, sorted."""
+        return tuple((a, b) for a, b in enumerate(self.partner) if a < b)
 
 
 def stack_matchings(upper: PlanarMatching, lower: PlanarMatching) -> tuple[PlanarMatching, int]:
     """Glue upper's bottom points to lower's top points; return (result, loops).
 
-    Nodes are ('u', p) and ('l', p); upper bottom point n+j is joined to lower
-    top point j. External points are upper's top (new top, labels 1..n) and
-    lower's bottom (new bottom, labels n+1..2n); cycles touching no external
-    point are the loops deleted in exchange for factors of d.
+    Junction j joins upper bottom point n+j to lower top point j. External
+    points are upper's top (new top, labels 1..n) and lower's bottom (new
+    bottom, labels n+1..2n). Each external point is followed through the two
+    partner tables, across junctions, to the external point at the other end
+    of its strand. Junctions that no such strand crossed lie on closed loops,
+    which are deleted in exchange for factors of d.
     """
     if upper.n != lower.n:
         raise TLError(f"cannot stack matchings on {upper.n} and {lower.n} strands")
     n = upper.n
-    up = upper.partner_map()
-    lo = lower.partner_map()
-
-    new_pairs = []
-    visited: set[tuple[str, int]] = set()
-    externals = [("u", j) for j in range(1, n + 1)] + [("l", n + j) for j in range(1, n + 1)]
-    for start in externals:
-        if start in visited:
+    up, lo = upper.partner, lower.partner
+    out = [0] * (2 * n + 1)
+    crossed = [False] * (n + 1)
+    for start in range(1, 2 * n + 1):
+        if out[start]:
             continue
-        visited.add(start)
-        side, p = start
-        while True:
-            p = up[p] if side == "u" else lo[p]  # follow the strand inside one diagram
-            visited.add((side, p))
-            if (side == "u" and p <= n) or (side == "l" and p > n):
-                break  # reached an external point
-            side, p = ("l", p - n) if side == "u" else ("u", p + n)  # cross the junction
-            visited.add((side, p))
-        new_pairs.append((start[1], p))
+        on_upper = start <= n
+        p = up[start] if on_upper else lo[start]
+        while (p > n) == on_upper:  # p is a junction point: cross into the other diagram
+            j = p - n if on_upper else p
+            crossed[j] = True
+            on_upper = not on_upper
+            p = up[n + j] if on_upper else lo[j]
+        out[start], out[p] = p, start
     loops = 0
-    for j in range(1, n + 1):
-        node = ("u", n + j)
-        if node in visited:
+    for first in range(1, n + 1):
+        if crossed[first]:
             continue
         loops += 1
-        while node not in visited:
-            visited.add(node)
-            side, p = node
-            p = up[p] if side == "u" else lo[p]
-            visited.add((side, p))
-            node = ("l", p - n) if side == "u" else ("u", p + n)
-    return PlanarMatching(n, tuple(new_pairs)), loops
+        j = first
+        while not crossed[j]:  # lower arc j -> j2, then upper arc n+j2 -> next junction
+            j2 = lo[j]
+            crossed[j] = crossed[j2] = True
+            j = up[n + j2] - n
+    return PlanarMatching._from_partner(n, out), loops
 
 
 def close_and_count_loops(m: PlanarMatching) -> int:
     """Loops of the trace closure: join top j to bottom j around the rectangle."""
-    partner = m.partner_map()
-    visited: set[int] = set()
+    n, partner = m.n, m.partner
+    closed = [False] * (n + 1)
     loops = 0
-    for start in range(1, 2 * m.n + 1):
-        if start in visited:
+    for first in range(1, n + 1):
+        if closed[first]:
             continue
         loops += 1
-        p = start
-        while p not in visited:
-            visited.add(p)
+        arc, p = first, n + first  # leave the first closure arc at its bottom end
+        while not closed[arc]:
+            closed[arc] = True
             q = partner[p]
-            visited.add(q)
-            p = q - m.n if q > m.n else q + m.n  # closure arc
+            arc, p = (q, q + n) if q <= n else (q - n, q - n)  # enter the arc at q, leave at its other end
     return loops
 
 
@@ -248,20 +247,15 @@ class TLElement:
         return f"TLElement({self.n}, " + " + ".join(bits) + ")"
 
 
-def embed(element: TLElement, extra_strands: int = 1) -> TLElement:
-    """Include TL_n into TL_(n+extra) by appending identity strands on the right."""
-    if extra_strands < 0:
-        raise TLError("extra_strands must be >= 0")
-    n, n2 = element.n, element.n + extra_strands
+def embed(element: TLElement) -> TLElement:
+    """Include TL_n into TL_(n+1) by appending one identity strand on the right."""
+    n = element.n
     out = {}
     for m, c in element.terms.items():
-        pairs = [
-            (a if a <= n else a + extra_strands, b if b <= n else b + extra_strands)
-            for a, b in m.pairs
-        ]
-        pairs += [(n + j, n2 + n + j) for j in range(1, extra_strands + 1)]
-        out[PlanarMatching(n2, tuple(pairs))] = c
-    return TLElement(n2, out)
+        pairs = [(a if a <= n else a + 1, b if b <= n else b + 1) for a, b in m.pairs]
+        pairs.append((n + 1, 2 * n + 2))
+        out[PlanarMatching(n + 1, pairs)] = c
+    return TLElement(n + 1, out)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -249,6 +249,11 @@ class TestVerify:
         status, out, err = run_cli(capsys, "verify", "--tol", "value_recompute=1e-12")
         assert status == 2 and out == "" and "value_recompute" in err
 
+    def test_unknown_tolerance_names_the_valid_fields(self, capsys):
+        status, out, err = run_cli(capsys, "verify", "--tol", "unitary=1e-12")
+        assert status == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: unknown tolerance 'unitary'") and "unitarity" in err
+
     def test_bad_tol_syntax(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--tol", "unitarity")
         assert status == 2 and "NAME=VALUE" in err

@@ -22,6 +22,7 @@ from tljones.tl import (
     jones_rep,
     markov_trace,
     random_generator_word,
+    stack_matchings,
     verify_tl_relations,
 )
 
@@ -66,6 +67,67 @@ def all_matchings(n: int) -> list[PlanarMatching]:
 
     rec(tuple(range(1, 2 * n + 1)), ())
     return out
+
+
+def _partner_dict(m: PlanarMatching) -> dict[int, int]:
+    out = {}
+    for a, b in m.pairs:
+        out[a], out[b] = b, a
+    return out
+
+
+def reference_stack(upper: PlanarMatching, lower: PlanarMatching) -> tuple[tuple, int]:
+    """Tuple-graph stacking (the earlier implementation): nodes ('u', p) and
+    ('l', p), upper bottom n+j joined to lower top j; returns (pairs, loops)."""
+    n = upper.n
+    up, lo = _partner_dict(upper), _partner_dict(lower)
+    new_pairs = []
+    visited: set[tuple[str, int]] = set()
+    externals = [("u", j) for j in range(1, n + 1)] + [("l", n + j) for j in range(1, n + 1)]
+    for start in externals:
+        if start in visited:
+            continue
+        visited.add(start)
+        side, p = start
+        while True:
+            p = up[p] if side == "u" else lo[p]
+            visited.add((side, p))
+            if (side == "u" and p <= n) or (side == "l" and p > n):
+                break
+            side, p = ("l", p - n) if side == "u" else ("u", p + n)
+            visited.add((side, p))
+        new_pairs.append((start[1], p))
+    loops = 0
+    for j in range(1, n + 1):
+        node = ("u", n + j)
+        if node in visited:
+            continue
+        loops += 1
+        while node not in visited:
+            visited.add(node)
+            side, p = node
+            p = up[p] if side == "u" else lo[p]
+            visited.add((side, p))
+            node = ("l", p - n) if side == "u" else ("u", p + n)
+    return tuple(sorted((min(a, b), max(a, b)) for a, b in new_pairs)), loops
+
+
+def reference_closure_loops(m: PlanarMatching) -> int:
+    """Closure loop count by a visited set over points (the earlier implementation)."""
+    partner = _partner_dict(m)
+    visited: set[int] = set()
+    loops = 0
+    for start in range(1, 2 * m.n + 1):
+        if start in visited:
+            continue
+        loops += 1
+        p = start
+        while p not in visited:
+            visited.add(p)
+            q = partner[p]
+            visited.add(q)
+            p = q - m.n if q > m.n else q + m.n
+    return loops
 
 
 class TestPlanarMatching:
@@ -140,6 +202,40 @@ class TestMultiplication:
             x = random_generator_word(n, rng.randint(0, 8), rng)
             y = random_generator_word(n, rng.randint(0, 8), rng)
             assert len((x * y).terms) <= catalan(n)
+
+
+class TestPartnerTableStacking:
+    """The integer walk over partner tables against the tuple-graph reference."""
+
+    @staticmethod
+    def assert_matches_reference(upper: PlanarMatching, lower: PlanarMatching):
+        result, loops = stack_matchings(upper, lower)
+        assert (result.pairs, loops) == reference_stack(upper, lower)
+        assert result == PlanarMatching(upper.n, result.pairs)  # the public checks accept it
+        assert close_and_count_loops(result) == reference_closure_loops(result)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_catalan_pair(self, n):
+        basis = all_matchings(n)
+        for m in basis:
+            assert close_and_count_loops(m) == reference_closure_loops(m)
+        for upper in basis:
+            for lower in basis:
+                self.assert_matches_reference(upper, lower)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_random_generator_words(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(200):
+            upper, lower = (
+                next(iter(random_generator_word(n, rng.randint(0, 12), rng).terms))
+                for _ in range(2)
+            )
+            self.assert_matches_reference(upper, lower)
+
+    def test_table_order_is_pairs_order(self):
+        basis = all_matchings(5)
+        assert sorted(basis) == sorted(basis, key=lambda m: m.pairs)
 
 
 class TestRelationsReport:
