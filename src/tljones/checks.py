@@ -149,6 +149,7 @@ def check_representation(
             basis = enumerate_paths(n, k)
             d = basis.params.d
             phis = {i: {op.m: op.matrix for op in phi_generator(basis, i)} for i in range(1, n)}
+            gates = {}  # (i, m) -> the b_i gate, kept for the braid relations
             for i in range(1, n):
                 for m, block in phis[i].items():
                     cases += 3
@@ -166,6 +167,8 @@ def check_representation(
                         details.append(f"n={n} k={k} i={i} m={m}: spectrum {r_spec:.2e}")
                     for exponent in (1, -1):
                         u = braid_gen_unitary(basis, i, exponent, m).matrix
+                        if exponent == 1:
+                            gates[i, m] = u
                         r_uni = norm(u @ u.conj().T - np.eye(u.shape[0]))
                         worst = max(worst, r_uni)
                         cases += 1
@@ -181,8 +184,7 @@ def check_representation(
                     worst = max(worst, r_rec)
                     if r_rec > tol.phi_relations:
                         details.append(f"n={n} k={k} i={i} m={m}: recoupling {r_rec:.2e}")
-                    ua = braid_gen_unitary(basis, i, 1, m).matrix
-                    ub = braid_gen_unitary(basis, i + 1, 1, m).matrix
+                    ua, ub = gates[i, m], gates[i + 1, m]
                     r_braid = norm(ua @ ub @ ua - ub @ ua @ ub)
                     worst = max(worst, r_braid)
                     if r_braid > tol.braid_relations:

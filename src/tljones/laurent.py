@@ -9,7 +9,7 @@ Jones variable obtained through the substitution t = A^-4.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class ExactDivisionError(ArithmeticError):
@@ -54,9 +54,6 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.coeffs.items()))
-
     def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly({0: other})
@@ -73,12 +70,7 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         return self + (-other)
-
-    def __rsub__(self, other: int) -> LaurentPoly:
-        return LaurentPoly({0: other}) - self
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
@@ -97,49 +89,38 @@ class LaurentPoly:
     def __pow__(self, exponent: int) -> LaurentPoly:
         if exponent < 0:
             raise ValueError("negative powers are defined only for monomials; invert explicitly")
-        result = LaurentPoly.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
+        result, base = LaurentPoly.one(), self
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            base = base * base
-            n >>= 1
+            exponent >>= 1
+            if exponent:  # the base is squared only while a higher bit remains
+                base = base * base
         return result
 
     def substitute_inverse(self) -> LaurentPoly:
         """The image under x -> x^-1 (mirror of all exponents)."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})
 
-    def min_exponent(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
-
     def div_exact(self, divisor: LaurentPoly) -> LaurentPoly:
         """Exact division; raises ExactDivisionError if a remainder survives.
 
-        Works in Z[x, x^-1]: both operands are shifted to ordinary polynomials,
-        divided by long division over Z, and the quotient is shifted back.
+        Long division over Z from the top exponent down, in Z[x, x^-1].
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        offset = self.min_exponent() - divisor.min_exponent()
-        num = {e - self.min_exponent(): c for e, c in self.coeffs.items()}
-        den = {e - divisor.min_exponent(): c for e, c in divisor.coeffs.items()}
+        den = divisor.coeffs
+        offset = min(self.coeffs) - min(den)  # the lowest exponent the quotient may have
         den_deg = max(den)
-        den_lead = den[den_deg]
+        num = dict(self.coeffs)
         quotient: dict[int, int] = {}
         while num:
             deg = max(num)
-            if deg < den_deg:
+            q, rem = divmod(num[deg], den[den_deg])
+            if deg - den_deg < offset or rem:
                 raise ExactDivisionError("polynomial division leaves a remainder")
-            lead = num[deg]
-            if lead % den_lead != 0:
-                raise ExactDivisionError("leading coefficient not divisible")
-            q = lead // den_lead
             quotient[deg - den_deg] = q
             for e, c in den.items():
                 e2 = e + deg - den_deg
@@ -148,7 +129,7 @@ class LaurentPoly:
                     num[e2] = c2
                 else:
                     num.pop(e2, None)
-        return LaurentPoly({e + offset: c for e, c in quotient.items()})
+        return LaurentPoly(quotient)
 
     def evaluate(self, x: complex) -> complex:
         """Numeric evaluation at a nonzero complex point."""

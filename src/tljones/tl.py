@@ -14,10 +14,12 @@ The Markov trace closes a diagram by joining top point j to bottom point j
 around the rectangle and weighs the result d^(loops - n). Because negative
 powers of d appear, trace values live in Z[A, A^-1, d^-1] and are carried
 exactly as a Laurent numerator over an explicit power of d (TraceValue).
+Powers of d are closed forms; d = -A^-2 (A^4 + 1) is cancelled where A^4 = -1 shows it divides.
 
 A braid maps into the algebra by the Jones representation
-b_i -> A E_i + A^-1 1 (inverse letters swap A and A^-1), and the Jones
-polynomial of the braid's trace closure is
+b_i -> A E_i + A^-1 1 (inverse letters swap A and A^-1), applied letter by
+letter as an action on the coefficients, and the Jones polynomial of the
+braid's trace closure is
 
     jones = (-A^3)^writhe * d^(n-1) * trace(image of the braid),
 
@@ -29,13 +31,17 @@ stabilization moves.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable, Mapping
 
 from .braids import BraidWord, writhe
-from .laurent import ExactDivisionError, LaurentPoly, convert_to_t
+from .laurent import LaurentPoly, convert_to_t
 
 # Loop weight d = -A^2 - A^-2 as an exact polynomial in A.
 LOOP_WEIGHT = LaurentPoly({2: -1, -2: -1})
+
+# jones_rep's image bound: refused n=14 runs peaked at 165-526 MB RSS (2.8-10.4 KB per diagram).
+MAX_IMAGE_TERMS = 50_000
 
 # Writhe prefactor base: (-A^3)^w, the unique signed monomial s with
 # s * bracket(unknot as closure of b_1) = 1.
@@ -44,6 +50,29 @@ PREFACTOR_BASE_EXPONENT = 3
 
 class TLError(ValueError):
     """Invalid diagram-algebra construction or operation."""
+
+
+def times_d(poly: LaurentPoly, j: int) -> LaurentPoly:
+    """poly * d^j for j >= 0, d^j = (-1)^j sum_r C(j, r) A^(2j - 4r); no product for j = 0."""
+    if not j:
+        return poly
+    return poly * LaurentPoly({2 * j - 4 * r: (-1) ** j * math.comb(j, r) for r in range(j + 1)})
+
+
+def d_divides(poly: LaurentPoly) -> bool:
+    """Whether d divides poly: A^4 + 1 is monic, so iff poly = 0 where A^4 = -1, A^8 = 1."""
+    folded = [0] * 8
+    for e, c in poly.coeffs.items():
+        folded[e % 8] += c
+    return folded[:4] == folded[4:]
+
+
+def divide_by_d(poly: LaurentPoly) -> LaurentPoly:
+    """poly / d for a poly that d divides: p_e = -q_(e-2) - q_(e+2), solved top down."""
+    p, q = poly.coeffs, {}
+    for e in range(max(p, default=0), min(p, default=0) + 3, -1):
+        q[e - 2] = -p.get(e, 0) - q.get(e + 2, 0)
+    return LaurentPoly(q)
 
 
 def _is_planar(partner: list[int], n: int) -> bool:
@@ -95,16 +124,18 @@ class PlanarMatching:
 
     @classmethod
     def identity(cls, n: int) -> PlanarMatching:
-        return cls(n, tuple((j, n + j) for j in range(1, n + 1)))
+        if n < 1:
+            raise TLError(f"strand count must be >= 1, got {n}")
+        return cls._from_partner(n, [0, *range(n + 1, 2 * n + 1), *range(1, n + 1)])
 
     @classmethod
     def generator(cls, n: int, i: int) -> PlanarMatching:
         """The cup-cap diagram E_i: top i paired with top i+1, likewise on the bottom."""
         if not 1 <= i <= n - 1:
             raise TLError(f"generator index {i} out of range [1, {n - 1}]")
-        pairs = [(i, i + 1), (n + i, n + i + 1)]
-        pairs += [(j, n + j) for j in range(1, n + 1) if j not in (i, i + 1)]
-        return cls(n, tuple(pairs))
+        partner = list(cls.identity(n).partner)
+        partner[i : i + 2], partner[n + i : n + i + 2] = (i + 1, i), (n + i + 1, n + i)
+        return cls._from_partner(n, partner)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -115,12 +146,10 @@ class PlanarMatching:
 def stack_matchings(upper: PlanarMatching, lower: PlanarMatching) -> tuple[PlanarMatching, int]:
     """Glue upper's bottom points to lower's top points; return (result, loops).
 
-    Junction j joins upper bottom point n+j to lower top point j. External
-    points are upper's top (new top, labels 1..n) and lower's bottom (new
-    bottom, labels n+1..2n). Each external point is followed through the two
-    partner tables, across junctions, to the external point at the other end
-    of its strand. Junctions that no such strand crossed lie on closed loops,
-    which are deleted in exchange for factors of d.
+    Junction j joins upper bottom point n+j to lower top point j. Each external
+    point (upper's top 1..n, lower's bottom n+1..2n) is followed across the
+    junctions to the other end of its strand; junctions no strand crossed lie
+    on closed loops, each deleted for a factor of d.
     """
     if upper.n != lower.n:
         raise TLError(f"cannot stack matchings on {upper.n} and {lower.n} strands")
@@ -177,14 +206,11 @@ class TLElement:
     terms: Mapping[PlanarMatching, LaurentPoly]
 
     def __init__(self, n: int, terms: Mapping[PlanarMatching, LaurentPoly]):
-        filtered = {}
-        for matching, coeff in terms.items():
+        for matching in terms:
             if matching.n != n:
                 raise TLError(f"matching on {matching.n} strands in an element on {n}")
-            if not coeff.is_zero():
-                filtered[matching] = coeff
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", filtered)
+        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
 
     @classmethod
     def identity(cls, n: int) -> TLElement:
@@ -196,9 +222,6 @@ class TLElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def sorted_terms(self) -> list[tuple[PlanarMatching, LaurentPoly]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TLElement):
@@ -222,8 +245,6 @@ class TLElement:
         return self + (-other)
 
     def scaled(self, factor: LaurentPoly | int) -> TLElement:
-        if isinstance(factor, int):
-            factor = LaurentPoly({0: factor})
         return TLElement(self.n, {m: c * factor for m, c in self.terms.items()})
 
     def __mul__(self, other: TLElement) -> TLElement:
@@ -236,14 +257,14 @@ class TLElement:
         for mu, cu in self.terms.items():
             for ml, cl in other.terms.items():
                 matching, loops = stack_matchings(mu, ml)
-                coeff = cu * cl * LOOP_WEIGHT**loops
-                out[matching] = out.get(matching, LaurentPoly.zero()) + coeff
+                coeff = times_d(cu if cl.coeffs == {0: 1} else cl if cu.coeffs == {0: 1} else cu * cl, loops)
+                out[matching] = out[matching] + coeff if matching in out else coeff
         return TLElement(self.n, out)
 
     def __repr__(self) -> str:
         if self.is_zero():
             return f"TLElement({self.n}, 0)"
-        bits = [f"({c.format()})*{m.pairs}" for m, c in self.sorted_terms()]
+        bits = [f"({c.format()})*{m.pairs}" for m, c in sorted(self.terms.items())]
         return f"TLElement({self.n}, " + " + ".join(bits) + ")"
 
 
@@ -252,9 +273,9 @@ def embed(element: TLElement) -> TLElement:
     n = element.n
     out = {}
     for m, c in element.terms.items():
-        pairs = [(a if a <= n else a + 1, b if b <= n else b + 1) for a, b in m.pairs]
-        pairs.append((n + 1, 2 * n + 2))
-        out[PlanarMatching(n + 1, pairs)] = c
+        moved = [p if p <= n else p + 1 for p in m.partner]  # bottom point n+j becomes n+1+j
+        partner = [*moved[: n + 1], 2 * n + 2, *moved[n + 1 :], n + 1]
+        out[PlanarMatching._from_partner(n + 1, partner)] = c
     return TLElement(n + 1, out)
 
 
@@ -272,13 +293,10 @@ class TraceValue:
 
     def __init__(self, numerator: LaurentPoly, d_power: int):
         if d_power < 0:
-            numerator = numerator * LOOP_WEIGHT ** (-d_power)
+            numerator = times_d(numerator, -d_power)
             d_power = 0
-        while d_power > 0 and not numerator.is_zero():
-            try:
-                numerator = numerator.div_exact(LOOP_WEIGHT)
-            except ExactDivisionError:
-                break
+        while d_power > 0 and numerator and d_divides(numerator):
+            numerator = divide_by_d(numerator)
             d_power -= 1
         if numerator.is_zero():
             d_power = 0
@@ -289,19 +307,11 @@ class TraceValue:
         if not isinstance(other, TraceValue):
             return NotImplemented
         e = max(self.d_power, other.d_power)
-        num = (
-            self.numerator * LOOP_WEIGHT ** (e - self.d_power)
-            + other.numerator * LOOP_WEIGHT ** (e - other.d_power)
-        )
+        num = times_d(self.numerator, e - self.d_power) + times_d(other.numerator, e - other.d_power)
         return TraceValue(num, e)
 
     def __sub__(self, other: TraceValue) -> TraceValue:
         return self + TraceValue(-other.numerator, other.d_power)
-
-    def scaled(self, factor: LaurentPoly | int) -> TraceValue:
-        if isinstance(factor, int):
-            factor = LaurentPoly({0: factor})
-        return TraceValue(self.numerator * factor, self.d_power)
 
     def div_d(self, times: int = 1) -> TraceValue:
         """Multiply by d^-times (times may be negative to multiply by d)."""
@@ -327,30 +337,41 @@ class TraceValue:
 
 
 def markov_trace(element: TLElement) -> TraceValue:
-    """Diagrammatic Markov trace: close each diagram and weigh by d^(loops - n)."""
-    numerator = LaurentPoly.zero()
+    """Diagrammatic Markov trace: close each diagram and weigh by d^(loops - n),
+    summing per loop count and cancelling d^(fewest loops) first."""
+    by_loops: dict[int, LaurentPoly] = {}
     for matching, coeff in element.terms.items():
-        numerator = numerator + coeff * LOOP_WEIGHT ** close_and_count_loops(matching)
-    return TraceValue(numerator, element.n)
+        loops = close_and_count_loops(matching)
+        by_loops[loops] = by_loops.get(loops, LaurentPoly.zero()) + coeff
+    fewest = min(by_loops, default=0)
+    numerator = sum((times_d(c, loops - fewest) for loops, c in by_loops.items()), LaurentPoly.zero())
+    descending = dict(sorted(numerator.coeffs.items(), reverse=True))  # the order a division by d leaves
+    return TraceValue(LaurentPoly(descending), element.n - fewest)
 
 
 def jones_rep(word: BraidWord) -> TLElement:
-    """Image of a braid word: each letter contributes A E_i + A^-1 1 (or the swap)."""
+    """Image of a braid word; TLError once it has over MAX_IMAGE_TERMS diagrams.
+
+    The letter b_i^s = A^s E_i + A^-s 1 acts on each term c*mu as A^-s c at
+    mu plus A^s d^loops c at mu E_i, where (mu E_i, loops) = stack_matchings(mu, E_i).
+    """
     n = word.strands
-    a = LaurentPoly.monomial(1)
-    a_inv = LaurentPoly.monomial(-1)
-    result = TLElement.identity(n)
-    for index, sign in word.letters:
-        cap_coeff, id_coeff = (a, a_inv) if sign == 1 else (a_inv, a)
-        factor = TLElement(
-            n,
-            {
-                PlanarMatching.generator(n, index): cap_coeff,
-                PlanarMatching.identity(n): id_coeff,
-            },
-        )
-        result = result * factor
-    return result
+    image = {PlanarMatching.identity(n): LaurentPoly.one()}
+    for count, (index, s) in enumerate(word.letters, 1):
+        cap = PlanarMatching.generator(n, index)
+        taps = (((s, 1),), ((s + 2, -1), (s - 2, -1)))  # A^s d^loops as (shift, factor), loops = 0, 1
+        out: dict[PlanarMatching, dict[int, int]] = {}
+        for mu, coeff in image.items():
+            nu, loops = stack_matchings(mu, cap)
+            for target, terms in ((mu, ((-s, 1),)), (nu, taps[loops])):
+                acc = out.setdefault(target, {})
+                for shift, factor in terms:
+                    for e, c in coeff.coeffs.items():
+                        acc[e + shift] = acc.get(e + shift, 0) + factor * c
+        image = {m: poly for m, acc in out.items() if (poly := LaurentPoly(acc))}
+        if len(image) > MAX_IMAGE_TERMS:
+            raise TLError(f"braid image passed MAX_IMAGE_TERMS = {MAX_IMAGE_TERMS} diagrams at letter {count}")
+    return TLElement(n, image)
 
 
 def writhe_prefactor(w: int) -> LaurentPoly:
@@ -365,11 +386,9 @@ def jones_polynomial(word: BraidWord) -> LaurentPoly:
     factor; a residual denominator would be an internal error and raises.
     """
     trace = markov_trace(jones_rep(word))
-    scaled = trace.scaled(LOOP_WEIGHT ** (word.strands - 1))
+    scaled = TraceValue(times_d(trace.numerator, word.strands - 1), trace.d_power)
     if scaled.d_power != 0:
-        raise AssertionError(
-            f"d^-{scaled.d_power} failed to cancel against d^{word.strands - 1}"
-        )
+        raise AssertionError(f"d^-{scaled.d_power} failed to cancel against d^{word.strands - 1}")
     return scaled.as_laurent() * writhe_prefactor(writhe(word))
 
 

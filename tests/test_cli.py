@@ -5,6 +5,7 @@ import pytest
 
 import tljones.cli
 import tljones.pathmodel
+import tljones.tl
 from tljones import checks
 from tljones.cli import main
 
@@ -35,6 +36,13 @@ def test_oversized_model_refused_before_enumeration(capsys, monkeypatch, command
     status, out, err = run_cli(capsys, command, "--braid", "1", "--strands", "18", "--k", "8")
     assert status == 2 and out == ""
     assert err.startswith("error: n=18, k=8: ") and "MAX_GATE_BYTES" in err and len(err.splitlines()) == 1
+
+
+def test_oversized_braid_image_refused_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(tljones.tl, "MAX_IMAGE_TERMS", 3)
+    status, out, err = run_cli(capsys, "exact", "--braid", "1 2 3 1 2 3", "--strands", "4")
+    assert status == 2 and out == ""
+    assert err.startswith("error: braid image passed MAX_IMAGE_TERMS = 3 ") and len(err.splitlines()) == 1
 
 
 class TestExact:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tljones.laurent import ExactDivisionError, LaurentPoly, convert_to_t
 
@@ -121,3 +122,73 @@ class TestSerialization:
     def test_format(self):
         assert LaurentPoly({2: -1, -2: -1}).format() == "-A^-2 - A^2"
         assert LaurentPoly.zero().format() == "0"
+
+
+# ---------------------------------------------------------------------------
+# Properties against test-local copies of the earlier code.
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+polys = st.dictionaries(st.integers(-10, 10), st.integers(-30, 30), max_size=5).map(LaurentPoly)
+
+
+def reference_div_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """The earlier long division: shift both operands to ordinary polynomials first."""
+    if num.is_zero():
+        return LaurentPoly.zero()
+    offset = min(num.coeffs) - min(den.coeffs)
+    rest = {e - min(num.coeffs): c for e, c in num.coeffs.items()}
+    shifted = {e - min(den.coeffs): c for e, c in den.coeffs.items()}
+    top = max(shifted)
+    quotient = {}
+    while rest:
+        deg = max(rest)
+        if deg < top or rest[deg] % shifted[top]:
+            raise ExactDivisionError("remainder")
+        q = quotient[deg - top] = rest[deg] // shifted[top]
+        for e, c in shifted.items():
+            rest[e + deg - top] = rest.get(e + deg - top, 0) - q * c
+            if not rest[e + deg - top]:
+                del rest[e + deg - top]
+    return LaurentPoly({e + offset: c for e, c in quotient.items()})
+
+
+def division_outcome(divide, num: LaurentPoly, den: LaurentPoly):
+    try:
+        return divide(num, den)
+    except ExactDivisionError:
+        return "remainder"
+
+
+class TestPowerMultiplications:
+    @pytest.mark.parametrize("exponent, products", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3), (5, 4)])
+    def test_no_square_after_the_last_bit(self, monkeypatch, exponent, products):
+        calls = []
+        multiply = LaurentPoly.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return multiply(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+        x = LaurentPoly({1: 1, -1: 2})
+        result = x**exponent
+        assert len(calls) == products
+        monkeypatch.undo()
+        expected = LaurentPoly.one()
+        for _ in range(exponent):
+            expected = expected * x
+        assert result == expected
+
+
+class TestDivisionProperties:
+    @PROPERTY
+    @given(polys, polys.filter(bool))
+    def test_exact_products_divide_like_the_earlier_code(self, q, den):
+        num = q * den
+        assert num.div_exact(den) == reference_div_exact(num, den) == q
+
+    @PROPERTY
+    @given(polys, polys.filter(bool))
+    def test_any_pair_has_the_earlier_outcome(self, num, den):
+        ours = division_outcome(LaurentPoly.div_exact, num, den)
+        assert ours == division_outcome(reference_div_exact, num, den)

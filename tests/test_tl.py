@@ -5,10 +5,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bruteforce import bruteforce_jones_a
 from tljones.braids import BraidWord, inverse, markov_conjugate, markov_stabilize, parse_braid_word, product, random_braid
-from tljones.laurent import LaurentPoly
+from tljones.laurent import ExactDivisionError, LaurentPoly
 from tljones.tl import (
     LOOP_WEIGHT,
     PlanarMatching,
@@ -16,6 +17,8 @@ from tljones.tl import (
     TLError,
     TraceValue,
     close_and_count_loops,
+    d_divides,
+    divide_by_d,
     embed,
     jones_polynomial,
     jones_polynomial_t,
@@ -23,6 +26,7 @@ from tljones.tl import (
     markov_trace,
     random_generator_word,
     stack_matchings,
+    times_d,
     verify_tl_relations,
 )
 
@@ -382,3 +386,163 @@ class TestJonesPolynomial:
             text, strands = WORDS[name]
             poly = jones_polynomial(parse_braid_word(text, strands))
             assert abs(poly.evaluate(a3) - 1) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The letter-local oracle and the division-free normal form against
+# test-local copies of the earlier general-purpose code.
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+polys = st.dictionaries(st.integers(-12, 12), st.integers(-40, 40), max_size=6).map(LaurentPoly)
+nonzero_polys = polys.filter(bool)
+
+
+@st.composite
+def braid_words(draw, max_strands=8, max_length=10):
+    n = draw(st.integers(2, max_strands))
+    letters = draw(st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=max_length))
+    return BraidWord(n, tuple(letters))
+
+
+def reference_product(x: TLElement, y: TLElement) -> TLElement:
+    """General bilinear stacking with LOOP_WEIGHT**loops per term (the earlier product)."""
+    out: dict = {}
+    for mu, cu in x.terms.items():
+        for ml, cl in y.terms.items():
+            matching, loops = stack_matchings(mu, ml)
+            out[matching] = out.get(matching, LaurentPoly.zero()) + cu * cl * LOOP_WEIGHT**loops
+    return TLElement(x.n, out)
+
+
+def reference_jones_rep(word: BraidWord) -> TLElement:
+    """The earlier jones_rep: one bilinear product per letter with A E_i + A^-1 1 (or the swap)."""
+    n = word.strands
+    a, a_inv = LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
+    result = TLElement(n, {reference_identity(n): LaurentPoly.one()})
+    for index, sign in word.letters:
+        cap_coeff, id_coeff = (a, a_inv) if sign == 1 else (a_inv, a)
+        factor = TLElement(n, {reference_generator(n, index): cap_coeff, reference_identity(n): id_coeff})
+        result = reference_product(result, factor)
+    return result
+
+
+def reference_identity(n: int) -> PlanarMatching:
+    """Through the validated constructor, as the earlier code built it."""
+    return PlanarMatching(n, tuple((j, n + j) for j in range(1, n + 1)))
+
+
+def reference_generator(n: int, i: int) -> PlanarMatching:
+    """Through the validated constructor, as the earlier code built it."""
+    pairs = [(i, i + 1), (n + i, n + i + 1)]
+    pairs += [(j, n + j) for j in range(1, n + 1) if j not in (i, i + 1)]
+    return PlanarMatching(n, tuple(pairs))
+
+
+def reference_embed(m: PlanarMatching) -> PlanarMatching:
+    """Through the validated constructor, as the earlier code built it."""
+    n = m.n
+    pairs = [(a if a <= n else a + 1, b if b <= n else b + 1) for a, b in m.pairs]
+    return PlanarMatching(n + 1, pairs + [(n + 1, 2 * n + 2)])
+
+
+def reference_normal_form(numerator: LaurentPoly, d_power: int) -> tuple[LaurentPoly, int]:
+    """The earlier TraceValue normalization: long division by d until it raises."""
+    if d_power < 0:
+        numerator, d_power = numerator * LOOP_WEIGHT ** (-d_power), 0
+    while d_power > 0 and not numerator.is_zero():
+        try:
+            numerator = numerator.div_exact(LOOP_WEIGHT)
+        except ExactDivisionError:
+            break
+        d_power -= 1
+    return numerator, 0 if numerator.is_zero() else d_power
+
+
+class TestLetterAction:
+    @PROPERTY
+    @given(braid_words())
+    def test_equals_the_bilinear_product(self, word):
+        assert jones_rep(word) == reference_jones_rep(word)
+
+    def test_long_word_on_eight_strands(self):
+        word = random_braid(random.Random(11), max_strands=8, min_strands=8, max_length=24)
+        assert jones_rep(word) == reference_jones_rep(word)
+
+    def test_image_bound_refuses_after_the_letter_that_passes_it(self, monkeypatch):
+        word = parse_braid_word("1 3 2 1 3", 4)
+        sizes = [len(jones_rep(BraidWord(4, word.letters[:k])).terms) for k in range(6)]
+        assert sizes[3] < sizes[4]
+        monkeypatch.setattr("tljones.tl.MAX_IMAGE_TERMS", sizes[3])
+        with pytest.raises(TLError, match=f"MAX_IMAGE_TERMS = {sizes[3]} diagrams at letter 4$"):
+            jones_rep(word)
+        assert len(jones_rep(BraidWord(4, word.letters[:3])).terms) == sizes[3]  # at the bound is allowed
+
+
+class TestDivisionFreeNormalForm:
+    @PROPERTY
+    @given(polys, st.integers(0, 6))
+    def test_closed_form_powers(self, p, j):
+        assert times_d(p, j) == p * LOOP_WEIGHT**j
+
+    @PROPERTY
+    @given(nonzero_polys, st.integers(1, 5))
+    def test_divisible_multiples_agree_with_div_exact(self, q, j):
+        p = q * LOOP_WEIGHT**j
+        assert d_divides(p)
+        assert divide_by_d(p) == p.div_exact(LOOP_WEIGHT) == q * LOOP_WEIGHT ** (j - 1)
+
+    @PROPERTY
+    @given(polys, st.integers(0, 4), st.integers(-20, 20))
+    def test_a_unit_added_is_never_divisible(self, q, j, e):
+        p = q * LOOP_WEIGHT**j + LaurentPoly.monomial(e)
+        assert not d_divides(p)
+        with pytest.raises(ExactDivisionError):
+            p.div_exact(LOOP_WEIGHT)
+
+    def test_zero_is_divisible(self):
+        assert d_divides(LaurentPoly.zero()) and divide_by_d(LaurentPoly.zero()).is_zero()
+
+    @PROPERTY
+    @given(polys, st.integers(0, 4), st.integers(-3, 6))
+    def test_trace_value_normal_form(self, q, j, d_power):
+        numerator = q * LOOP_WEIGHT**j
+        value = TraceValue(numerator, d_power)
+        assert (value.numerator, value.d_power) == reference_normal_form(numerator, d_power)
+
+    def test_negative_d_power_multiplies_by_d(self):
+        value = TraceValue(LaurentPoly.monomial(3), -2)
+        assert (value.numerator, value.d_power) == (LaurentPoly.monomial(3) * LOOP_WEIGHT**2, 0)
+
+    def test_div_d_by_a_negative_count_multiplies(self):
+        value = TraceValue(LaurentPoly.one(), 1)  # 1/d
+        assert value.div_d(-1) == TraceValue(LaurentPoly.one(), 0)
+        assert value.div_d(-3).numerator == LOOP_WEIGHT**2 and value.div_d(-3).d_power == 0
+        assert value.div_d(-3).div_d(3) == value
+
+
+class TestLibraryBuiltTables:
+    """identity, generator and embed build tables directly; the validated
+    constructor must produce the same tables."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_identity_and_generators(self, n):
+        assert PlanarMatching.identity(n) == reference_identity(n)
+        for i in range(1, n):
+            assert PlanarMatching.generator(n, i) == reference_generator(n, i)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_embed_generators(self, n):
+        for m in [PlanarMatching.identity(n)] + [PlanarMatching.generator(n, i) for i in range(1, n)]:
+            (embedded,) = embed(TLElement(n, {m: LaurentPoly.one()})).terms
+            assert embedded == reference_embed(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_embed_every_catalan_matching(self, n):
+        basis = all_matchings(n)
+        image = embed(TLElement(n, {m: LaurentPoly.monomial(k) for k, m in enumerate(basis)}))
+        assert image == TLElement(n + 1, {reference_embed(m): LaurentPoly.monomial(k) for k, m in enumerate(basis)})
+
+    def test_identity_needs_a_strand(self):
+        with pytest.raises(TLError, match="strand count"):
+            PlanarMatching.identity(0)
