@@ -1,8 +1,9 @@
 """Simulated quantum estimation of Jones values from Hadamard-test bits.
 
 Validates the ancilla circuit identity by statevector simulation, then runs
-the seeded sampling loop at several accuracy targets and shows convergence
-toward the exact value as the shot count grows.
+the seeded sampling loop at several accuracy targets, each next to the error
+bound it delivers, and shows convergence toward the exact value as the shot
+count grows.
 """
 
 import numpy as np
@@ -44,6 +45,7 @@ print(f"  exact value: {exact:+.8f}")
 for seed in range(4):
     run = sample_jones_value(word, 5, SamplerConfig(epsilon=0.05, delta=0.05, seed=seed))
     print(f"  seed={seed}: estimate {run.value:+.6f}  |error| {run.abs_error:.4f} "
+          f"bound {run.value_error_bound:.4f} at {run.error_confidence:.0%} confidence "
           f"({run.iterations} shots/channel)")
 
 print()

@@ -57,8 +57,9 @@ class EvaluationResult:
 
     value = prefactor * d^(n-1) * weighted_trace always holds; sampled runs
     additionally carry the exact value, the absolute error against it, the
-    literal loop output before normalization (raw_trace), and the sampling
-    configuration.
+    literal loop output before normalization (raw_trace), the sampling
+    configuration, and a bound on |value - exact| that holds with probability
+    error_confidence.
     """
 
     method: str  # "exact-path-model" | "oracle" | "sampled"
@@ -80,6 +81,8 @@ class EvaluationResult:
     exact_value: complex | None = None
     abs_error: float | None = None
     raw_trace: complex | None = None
+    value_error_bound: float | None = None
+    error_confidence: float | None = None
 
     def to_json_dict(self) -> dict:
         """Every field, complex numbers as [re, im]; the sampler's fields only for sampled runs."""

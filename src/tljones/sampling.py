@@ -8,18 +8,20 @@ a bit whose bias encodes one component of the bracket a = <p|U|p>:
 
 and the frequency estimators (#0 - #1)/shots and (#1 - #0)/shots converge to
 Re(a) and Im(a). Sampling happens at the amplitude level: the bracket is
-computed classically from the gate's diagonal and bits are drawn from the
-resulting Bernoulli laws, which is statistically indistinguishable from
-evolving a statevector per shot. hadamard_circuit_check validates the
+computed classically from the gate's diagonal and shot outcomes are drawn
+from the resulting Bernoulli laws, which is statistically indistinguishable
+from evolving a statevector per shot. hadamard_circuit_check validates the
 circuit identity itself once, by direct statevector simulation of
 (H on ancilla) -> controlled-U -> (H on ancilla), with an extra ancilla
 phase gate diag(1, i) for the imaginary variant.
 
 Bit streams are counter-based (Philox keyed by a SHA-256 hash of the master
 seed, the sector, the walk index, and the test kind), so results are
-reproducible and independent of loop scheduling or thread count: each walk's
-draws run on a pool with one thread per core, in fixed-size chunks, and are
-summed in walk order. A call over MAX_SHOTS is refused before any gate is built.
+reproducible and independent of loop order. The estimator reads only the
+number of 1-bits in a channel's shots, and that number is exactly
+Binomial(shots, 1 - Prob(bit 0)), so each channel draws its count once from
+its stream instead of drawing every bit. A call over MAX_SHOTS is refused
+before any gate is built.
 
 Degenerate-channel short circuit: when one channel's Bernoulli law is
 deterministic (probability exactly 0 or 1), that component of the bracket is
@@ -39,11 +41,9 @@ value itself.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import math
-import os
 
 import numpy as np
 
@@ -56,11 +56,10 @@ class SamplerError(ValueError):
     """Invalid sampler configuration or a non-unitary operator."""
 
 
-# Most shots (2 x iterations x walks) one sample_jones_value call may draw:
-# about 7 s of bits on one core of a 2-vCPU Xeon.
+# Most simulated shots (2 x iterations x walks) one sample_jones_value call may
+# stand for. Each channel's count is one draw, so this bounds the accuracy a
+# call claims, not its CPU time.
 MAX_SHOTS = 10**9
-
-_CHUNK = 1 << 16  # raw Philox words drawn at once: 512 KiB buffers whatever epsilon is
 
 
 def iterations_for(epsilon: float, delta: float) -> int:
@@ -143,26 +142,16 @@ def forced_bracket(a: complex) -> complex | None:
     return None
 
 
-def _frequency(rng: np.random.Generator, n: int, p0: float) -> float:
-    """(#0 - #1) / n over the next n bits of the law Prob(0) = p0, drawn in chunks.
-
-    random() is (raw >> 11) * 2^-53, so random() >= p0 exactly when
-    raw >= ceil(p0 * 2^53) << 11; p0 == 1.0 has no 1-bits but still consumes
-    its n words, keeping a shared stream aligned.
-    """
-    threshold = math.ceil(p0 * 2**53) << 11
-    ones = 0
-    for start in range(0, n, _CHUNK):
-        raw = rng.bit_generator.random_raw(min(_CHUNK, n - start))
-        if threshold < 2**64:
-            ones += int(np.count_nonzero(raw >= threshold))
-    return (n - 2 * ones) / n
-
-
 def _draw_bracket(a: complex, iterations: int, re_rng: np.random.Generator, im_rng: np.random.Generator) -> complex:
-    """Frequency estimate of a non-forced bracket a: real bits, then imaginary bits."""
+    """Frequency estimate of a non-forced bracket a from one 1-count per channel, real first.
+
+    The count of 1-bits among `iterations` shots of the law Prob(0) = p0 is
+    Binomial(iterations, 1 - p0); both laws are checked before either draw.
+    """
     p0_re, p0_im = (_checked_probability(p0) for p0 in bit_laws(a))
-    return complex(_frequency(re_rng, iterations, p0_re), -_frequency(im_rng, iterations, p0_im))
+    ones_re = re_rng.binomial(iterations, 1.0 - p0_re)
+    ones_im = im_rng.binomial(iterations, 1.0 - p0_im)
+    return complex((iterations - 2 * ones_re) / iterations, -(iterations - 2 * ones_im) / iterations)
 
 
 def estimate_bracket(
@@ -172,10 +161,10 @@ def estimate_bracket(
     rng: np.random.Generator,
     im_rng: np.random.Generator | None = None,
 ) -> complex:
-    """Frequency estimate of <p|U|p> from `iterations` bits per channel.
+    """Frequency estimate of <p|U|p> from `iterations` shots per channel.
 
-    Real bits come from rng and imaginary bits from im_rng; without im_rng
-    both channels share rng, real bits first. Degenerate channels
+    The real count comes from rng and the imaginary count from im_rng; without
+    im_rng both channels share rng, real first. Degenerate channels
     short-circuit to the exact forced bracket without drawing any bits.
     """
     if iterations < 1:
@@ -187,47 +176,44 @@ def estimate_bracket(
     return _draw_bracket(a, iterations, rng, rng if im_rng is None else im_rng)
 
 
-def _workers() -> int:
-    """Draw threads per sample_jones_value call: one per core this process may use."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def sample_jones_value(word: BraidWord, k: int, config: SamplerConfig) -> EvaluationResult:
-    """Estimate the Jones value of a braid closure from simulated circuit bits.
+    """Estimate the Jones value of a braid closure from simulated circuit shots.
 
-    Triple loop over sectors, walks, and shots, with one independent bit
-    stream per (sector, walk, test kind). raw_trace is the literal loop
-    output sum_m lambda_m * sector sum; the returned value additionally
-    divides by N and applies the writhe prefactor and d^(n-1), matching the
-    exact evaluator's arithmetic exactly so error-free runs agree bitwise.
+    Loop over sectors and walks, with one independent stream per (sector,
+    walk, test kind). raw_trace is the literal loop output
+    sum_m lambda_m * sector sum; the returned value additionally divides by N
+    and applies the writhe prefactor and d^(n-1), matching the exact
+    evaluator's arithmetic exactly so error-free runs agree bitwise.
+
+    value_error_bound holds for the whole run with probability at least
+    error_confidence = 1 - delta: each non-forced shot moves one component of
+    raw_trace by +-lambda_m / iterations, so Hoeffding (1963) bounds each
+    component's deviation by t = sqrt(2 ln(4/delta) sum lambda_m^2 / iterations)
+    with probability 1 - delta/2, and a union bound covers both components.
     """
     basis = enumerate_paths(word.strands, k)
     iterations = config.resolved_iterations()
     if 2 * iterations * basis.total_dim() > MAX_SHOTS:
         raise SamplerError(f"2 x {iterations} iterations x {basis.total_dim()} walks exceeds the shot budget {MAX_SHOTS}")
     gates = build_gates(basis, word)
-    lam = basis.params.lam
-
-    # Streams and forced checks stay on this thread, so wrappers around them never
-    # run concurrently; workers only draw bits.
-    brackets = {m: [] for m in basis.nonempty_sectors()}
-    with concurrent.futures.ThreadPoolExecutor(_workers()) as pool:
-        for m, row in brackets.items():
-            for p in range(len(basis.sectors[m])):
-                re_rng, im_rng = bit_stream(config.seed, m, p, "re"), bit_stream(config.seed, m, p, "im")
-                a = complex(gates[m].matrix[p, p])
-                forced = forced_bracket(a)
-                row.append(forced if forced is not None else pool.submit(_draw_bracket, a, iterations, re_rng, im_rng))
+    params = basis.params
 
     raw = 0j
-    for m, row in brackets.items():
+    drawn_weight = 0.0  # sum of lambda_m^2 over the walks that draw shots
+    for m in basis.nonempty_sectors():
         sector_sum = 0j
-        for bracket in row:
-            sector_sum += bracket if isinstance(bracket, complex) else bracket.result()
-        raw += lam[m] * sector_sum
+        for p in range(len(basis.sectors[m])):
+            a = complex(gates[m].matrix[p, p])
+            bracket = forced_bracket(a)
+            if bracket is None:
+                bracket = _draw_bracket(a, iterations, bit_stream(config.seed, m, p, "re"), bit_stream(config.seed, m, p, "im"))
+                drawn_weight += params.lam[m] ** 2
+            sector_sum += bracket
+        raw += params.lam[m] * sector_sum
 
     result = evaluation_result(basis, word, raw / basis.normalization(), "sampled")
-    exact_value = scale_trace(basis.params, result.writhe, weighted_trace(basis, gates))
+    exact_value = scale_trace(params, result.writhe, weighted_trace(basis, gates))
+    t = math.sqrt(2.0 * math.log(4.0 / config.delta) * drawn_weight / iterations)
     return dataclasses.replace(
         result,
         iterations=iterations,
@@ -237,6 +223,8 @@ def sample_jones_value(word: BraidWord, k: int, config: SamplerConfig) -> Evalua
         exact_value=exact_value,
         abs_error=abs(result.value - exact_value),
         raw_trace=raw,
+        value_error_bound=abs(result.prefactor) * abs(params.d) ** (word.strands - 1) * math.sqrt(2.0) * t / basis.normalization(),
+        error_confidence=1.0 - config.delta,
     )
 
 

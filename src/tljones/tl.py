@@ -441,8 +441,13 @@ def verify_tl_relations(n: int, sample_count: int = 10, seed: int = 0) -> Relati
 
 
 def random_generator_word(n: int, length: int, rng) -> TLElement:
-    """Product of random generators (identity for length 0); rng is random.Random."""
-    result = TLElement.identity(n)
+    """Product of random generators (identity for length 0); rng is random.Random.
+
+    A product of diagrams is one diagram times d^loops, so the generators are
+    stacked as partner tables and their loops summed.
+    """
+    diagram, loops = PlanarMatching.identity(n), 0
     for _ in range(length):
-        result = result * TLElement.generator(n, rng.randint(1, n - 1))
-    return result
+        diagram, more = stack_matchings(diagram, PlanarMatching.generator(n, rng.randint(1, n - 1)))
+        loops += more
+    return TLElement(n, {diagram: times_d(LaurentPoly.one(), loops)})

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import random
@@ -25,6 +26,32 @@ from tljones.sampling import (
 
 def scalar_op(value: complex) -> SectorOperator:
     return SectorOperator(1, np.array([[value]], dtype=complex))
+
+
+_CHUNK = 1 << 16  # raw Philox words drawn at once by the bit-level reference
+
+
+def bit_level_frequency(rng: np.random.Generator, n: int, p0: float) -> float:
+    """(#0 - #1) / n over the next n bits of the law Prob(0) = p0, drawn in chunks.
+
+    The bit-level reference for the sampler's count draws. random() is
+    (raw >> 11) * 2^-53, so random() >= p0 exactly when
+    raw >= ceil(p0 * 2^53) << 11; p0 == 1.0 has no 1-bits but still consumes
+    its n words, keeping a shared stream aligned.
+    """
+    threshold = math.ceil(p0 * 2**53) << 11
+    ones = 0
+    for start in range(0, n, _CHUNK):
+        raw = rng.bit_generator.random_raw(min(_CHUNK, n - start))
+        if threshold < 2**64:
+            ones += int(np.count_nonzero(raw >= threshold))
+    return (n - 2 * ones) / n
+
+
+def chi2_sf_even(x: float, df: int) -> float:
+    """Survival function of the chi-squared law with an even number of degrees of freedom."""
+    half = x / 2.0
+    return math.exp(-half) * sum(half**i / math.factorial(i) for i in range(df // 2))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -134,7 +161,7 @@ class TestEstimateBracket:
     def test_bracket_06_golden(self):
         u = SectorOperator(1, np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex))
         est = estimate_bracket(u, 0, 10**5, bit_stream(7, 1, 0, "re"))
-        assert est == (0.59622 - 0.00184j)  # frozen seeded regression value
+        assert est == (0.60122 - 0.00378j)  # frozen seeded regression value
         assert abs(est.real - 0.6) <= 0.01
 
     def test_iterations_validated(self):
@@ -143,18 +170,18 @@ class TestEstimateBracket:
 
 
 class TestChunkedCount:
-    """The raw-word threshold count against the random() >= p0 law it replaces."""
+    """The bit-level reference's raw-word threshold count against the random() >= p0 law."""
 
     @staticmethod
     def assert_same_bits(p0: float, n: int) -> None:
         reference = bit_stream(5, 0, 0, "re")
         ones = int(np.count_nonzero(reference.random(n) >= p0))
         chunked = bit_stream(5, 0, 0, "re")
-        assert sampling._frequency(chunked, n, p0) == (n - 2 * ones) / n
+        assert bit_level_frequency(chunked, n, p0) == (n - 2 * ones) / n
         assert chunked.random() == reference.random()  # both consumed exactly n words
 
     @pytest.mark.parametrize("p0", [0.0, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0])
-    @pytest.mark.parametrize("n", [1000, sampling._CHUNK, 3 * sampling._CHUNK + 12345])
+    @pytest.mark.parametrize("n", [1000, _CHUNK, 3 * _CHUNK + 12345])
     def test_matches_uniform_law(self, p0, n):
         self.assert_same_bits(p0, n)
 
@@ -169,6 +196,71 @@ class TestChunkedCount:
             self.assert_same_bits(float(p0), i + 1)
 
 
+class TestCountLaw:
+    """The sampler's Binomial 1-counts against the bit-level reference's counts."""
+
+    SEEDS = 2000
+    SHOTS = 1000
+
+    @pytest.mark.parametrize("p0", [0.3, 0.5, 0.97])
+    def test_binomial_counts_match_bit_level_counts(self, p0):
+        shots = self.SHOTS
+        u = scalar_op(2.0 * p0 - 1.0)  # real-channel law Prob(0) = p0
+        drawn = np.array([
+            round(shots * (1.0 - estimate_bracket(u, 0, shots, bit_stream(seed, 0, 0, "re")).real) / 2)
+            for seed in range(self.SEEDS)
+        ])
+        bits = np.array([
+            round(shots * (1.0 - bit_level_frequency(bit_stream(seed, 1, 0, "re"), shots, p0)) / 2)
+            for seed in range(self.SEEDS)
+        ])
+        mean, var = shots * (1.0 - p0), shots * p0 * (1.0 - p0)
+        for counts in (drawn, bits):
+            assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(var / self.SEEDS)
+        assert abs(drawn.var(ddof=1) / bits.var(ddof=1) - 1.0) <= 0.15
+        # two-sample chi-squared over 11 bins half a standard deviation wide (10 degrees of freedom)
+        edges = mean + math.sqrt(var) * np.linspace(-2.25, 2.25, 10)
+        r, s = np.bincount(np.digitize(drawn, edges), minlength=11), np.bincount(np.digitize(bits, edges), minlength=11)
+        assert np.all(r + s > 0)
+        chi2 = float(np.sum((r - s) ** 2 / (r + s)))
+        assert chi2_sf_even(chi2, 10) > 1e-3
+
+
+class TestDeliveredBound:
+    @pytest.mark.parametrize("braid, strands, k, epsilon", [("1 1 1", 2, 5, 0.05), ("1 -2 1 -2", 3, 6, 0.1)])
+    def test_coverage(self, braid, strands, k, epsilon):
+        word = parse_braid_word(braid, strands)
+        runs = [sample_jones_value(word, k, SamplerConfig(epsilon=epsilon, delta=0.05, seed=s)) for s in range(200)]
+        bound = runs[0].value_error_bound
+        assert bound > 0.0 and all(run.value_error_bound == bound for run in runs)
+        assert all(run.error_confidence == 0.95 for run in runs)
+        assert sum(run.abs_error <= bound for run in runs) >= 190
+
+    def test_hoeffding_formula(self):
+        word = parse_braid_word("1 -2 1 -2", 3)
+        res = sample_jones_value(word, 6, SamplerConfig(iterations=300, delta=0.1, seed=8))
+        basis = enumerate_paths(3, 6)
+        gates = build_gates(basis, word)
+        weight = sum(
+            basis.params.lam[m] ** 2
+            for m in basis.nonempty_sectors()
+            for p in range(len(basis.sectors[m]))
+            if forced_bracket(complex(gates[m].matrix[p, p])) is None
+        )
+        t = math.sqrt(2.0 * math.log(4.0 / 0.1) * weight / 300)
+        expected = abs(res.prefactor) * abs(res.d) ** 2 * math.sqrt(2.0) * t / res.normalization
+        assert res.value_error_bound == pytest.approx(expected, rel=1e-12)
+        assert res.error_confidence == pytest.approx(0.9)
+
+    def test_zero_when_every_walk_is_forced(self):
+        res = sample_jones_value(BraidWord.identity(3), 5, SamplerConfig(seed=1))
+        assert res.value_error_bound == 0.0 and res.abs_error == 0.0
+
+    def test_absent_from_exact_records(self):
+        doc = jones_value_exact(parse_braid_word("1 1 1", 2), 5).to_json_dict()
+        assert "value_error_bound" not in doc and "error_confidence" not in doc
+
+
 class TestSampleJonesValue:
     def test_identity_braid_zero_error(self):
         for n in (1, 2, 3):
@@ -181,8 +273,8 @@ class TestSampleJonesValue:
         word = parse_braid_word("1 1 1", 2)
         res = sample_jones_value(word, 5, SamplerConfig(epsilon=0.05, delta=0.05, seed=42))
         assert res.iterations == 738
-        assert res.value == (-0.806448374458161 - 1.3477388840704678j)  # frozen
-        assert res.raw_trace == (-0.9820320420108294 + 1.1255299272393011j)  # frozen
+        assert res.value == (-0.820652652949821 - 1.3161422196333774j)  # frozen
+        assert res.raw_trace == (-0.9492780578362734 + 1.129091791142547j)  # frozen
         assert abs(res.value - res.exact_value) <= 0.15
 
     def test_estimate_tracks_exact_value(self):
@@ -220,7 +312,8 @@ class TestSampleJonesValue:
         assert errors[1] < errors[0] / 3  # error shrinks roughly like 1/sqrt(iters)
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_independent_of_worker_count(self, monkeypatch, workers):
+    def test_independent_of_worker_count(self, workers):
+        # `workers` calls running on as many threads at once each give the serial loop's record
         word = parse_braid_word("1 -2 1 3 -2", 4)
         config = SamplerConfig(epsilon=0.05, seed=17)
         basis = enumerate_paths(4, 6)
@@ -235,10 +328,11 @@ class TestSampleJonesValue:
                 )
             serial_raw += basis.params.lam[m] * sector_sum
         reference = sample_jones_value(word, 6, config)
-        monkeypatch.setattr(sampling, "_workers", lambda: workers)
-        res = sample_jones_value(word, 6, config)
-        assert res == reference
-        assert res.raw_trace == serial_raw
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(lambda _: sample_jones_value(word, 6, config), range(workers)))
+        for res in results:
+            assert res == reference
+            assert res.raw_trace == serial_raw
 
     def test_shot_budget(self, monkeypatch):
         word = parse_braid_word("1 1 1", 2)

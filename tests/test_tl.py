@@ -163,6 +163,14 @@ class TestPlanarMatching:
         assert close_and_count_loops(PlanarMatching.generator(3, 1)) == 2
 
 
+def reference_generator_word(n: int, length: int, rng) -> TLElement:
+    """The earlier random_generator_word: one TLElement product per letter."""
+    result = TLElement.identity(n)
+    for _ in range(length):
+        result = result * TLElement.generator(n, rng.randint(1, n - 1))
+    return result
+
+
 class TestMultiplication:
     def test_generator_square(self):
         e1 = TLElement.generator(2, 1)
@@ -180,6 +188,14 @@ class TestMultiplication:
             x = random_generator_word(n, rng.randint(0, 6), rng)
             assert TLElement.identity(n) * x == x
             assert x * TLElement.identity(n) == x
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_generator_word_equals_letter_by_letter_product(self, n):
+        for length in range(13):
+            for seed in range(3):
+                rng, reference_rng = random.Random(seed), random.Random(seed)
+                assert random_generator_word(n, length, rng) == reference_generator_word(n, length, reference_rng)
+                assert rng.getstate() == reference_rng.getstate()  # the same draws, in the same order
 
     def test_distant_generators_stack_without_loops(self):
         prod = TLElement.generator(4, 1) * TLElement.generator(4, 3)
