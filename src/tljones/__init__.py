@@ -44,8 +44,6 @@ from .sampling import (
     SamplerError,
     estimate_bracket,
     hadamard_circuit_check,
-    hadamard_test_im,
-    hadamard_test_re,
     iterations_for,
     sample_jones_value,
 )
@@ -95,8 +93,6 @@ __all__ = [
     "free_reduce",
     "global_gate",
     "hadamard_circuit_check",
-    "hadamard_test_im",
-    "hadamard_test_re",
     "inverse",
     "iterations_for",
     "jones_polynomial",

@@ -18,11 +18,11 @@ import sys
 from typing import Callable
 
 from . import checks
-from .braids import BraidError, BraidWord, parse_braid_word, writhe
+from .braids import BraidWord, parse_braid_word, writhe
 from .evaluation import jones_value_exact
 from .laurent import convert_to_t
-from .pathmodel import PathModelError, choose_a, count_walks
-from .sampling import SamplerConfig, SamplerError, sample_jones_value
+from .pathmodel import choose_a, count_walks
+from .sampling import SamplerConfig, sample_jones_value
 from .tl import jones_polynomial
 
 
@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CliError, BraidError, PathModelError, SamplerError, ValueError) as exc:
+    except ValueError as exc:  # CliError and every library input error subclass it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

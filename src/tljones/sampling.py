@@ -111,18 +111,6 @@ def bit_laws(a: complex) -> tuple[float, float]:
     return 0.5 + 0.5 * a.real, 0.5 - 0.5 * a.imag
 
 
-def hadamard_test_re(u: SectorOperator, p: int, rng: np.random.Generator) -> int:
-    """One bit of the real test: 0 with probability 1/2 + Re<p|U|p>/2."""
-    p0 = _checked_probability(bit_laws(complex(u.matrix[p, p]))[0])
-    return 0 if rng.random() < p0 else 1
-
-
-def hadamard_test_im(u: SectorOperator, p: int, rng: np.random.Generator) -> int:
-    """One bit of the imaginary test: 0 with probability 1/2 - Im<p|U|p>/2."""
-    p0 = _checked_probability(bit_laws(complex(u.matrix[p, p]))[1])
-    return 0 if rng.random() < p0 else 1
-
-
 def forced_bracket(a: complex) -> complex | None:
     """The exact bracket when either channel's bit law is deterministic.
 

@@ -408,9 +408,6 @@ class RelationReport:
     def passed(self) -> bool:
         return all(ok for _, ok in self.results)
 
-    def failures(self) -> list[str]:
-        return [name for name, ok in self.results if not ok]
-
 
 def verify_tl_relations(n: int, sample_count: int = 10, seed: int = 0) -> RelationReport:
     """Check the defining relations of the algebra symbolically, plus random
@@ -440,14 +437,18 @@ def verify_tl_relations(n: int, sample_count: int = 10, seed: int = 0) -> Relati
     return RelationReport(n, tuple(results))
 
 
-def random_generator_word(n: int, length: int, rng) -> TLElement:
-    """Product of random generators (identity for length 0); rng is random.Random.
+def generator_word(n: int, indices: Iterable[int]) -> TLElement:
+    """E_(i_1) E_(i_2) ... (identity for no indices): one diagram times d^loops.
 
-    A product of diagrams is one diagram times d^loops, so the generators are
-    stacked as partner tables and their loops summed.
+    The generators' partner tables are stacked in order and their loops summed.
     """
     diagram, loops = PlanarMatching.identity(n), 0
-    for _ in range(length):
-        diagram, more = stack_matchings(diagram, PlanarMatching.generator(n, rng.randint(1, n - 1)))
+    for i in indices:
+        diagram, more = stack_matchings(diagram, PlanarMatching.generator(n, i))
         loops += more
     return TLElement(n, {diagram: times_d(LaurentPoly.one(), loops)})
+
+
+def random_generator_word(n: int, length: int, rng) -> TLElement:
+    """Product of `length` random generators; rng is random.Random."""
+    return generator_word(n, [rng.randint(1, n - 1) for _ in range(length)])

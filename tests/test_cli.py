@@ -269,3 +269,10 @@ class TestVerify:
     def test_unknown_profile(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--profile", "nope")
         assert status == 2 and "profile" in err
+
+    def test_profile_is_not_read_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("TLJONES_TOL_PROFILE", "strict")
+        status, out, err = run_cli(capsys, "verify", "--n", "3", "--k", "4", "--samples", "2")
+        assert status == 0, err
+        assert json.loads(out)["tolerances"] == dataclasses.asdict(checks.Tolerances())
+        assert checks.PROFILES["strict"] != checks.Tolerances()

@@ -15,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     completed = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],  # as strict as pytest's filterwarnings = ["error"]
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

@@ -13,12 +13,12 @@ from tljones.pathmodel import SectorOperator, enumerate_paths, global_gate
 from tljones.sampling import (
     SamplerConfig,
     SamplerError,
+    _checked_probability,
+    bit_laws,
     bit_stream,
     estimate_bracket,
     forced_bracket,
     hadamard_circuit_check,
-    hadamard_test_im,
-    hadamard_test_re,
     iterations_for,
     sample_jones_value,
 )
@@ -26,6 +26,18 @@ from tljones.sampling import (
 
 def scalar_op(value: complex) -> SectorOperator:
     return SectorOperator(1, np.array([[value]], dtype=complex))
+
+
+def hadamard_test_re(u: SectorOperator, p: int, rng: np.random.Generator) -> int:
+    """One bit of the real test: 0 with probability 1/2 + Re<p|U|p>/2."""
+    p0 = _checked_probability(bit_laws(complex(u.matrix[p, p]))[0])
+    return 0 if rng.random() < p0 else 1
+
+
+def hadamard_test_im(u: SectorOperator, p: int, rng: np.random.Generator) -> int:
+    """One bit of the imaginary test: 0 with probability 1/2 - Im<p|U|p>/2."""
+    p0 = _checked_probability(bit_laws(complex(u.matrix[p, p]))[1])
+    return 0 if rng.random() < p0 else 1
 
 
 _CHUNK = 1 << 16  # raw Philox words drawn at once by the bit-level reference

@@ -20,6 +20,7 @@ from tljones.tl import (
     d_divides,
     divide_by_d,
     embed,
+    generator_word,
     jones_polynomial,
     jones_polynomial_t,
     jones_rep,
@@ -562,3 +563,28 @@ class TestLibraryBuiltTables:
     def test_identity_needs_a_strand(self):
         with pytest.raises(TLError, match="strand count"):
             PlanarMatching.identity(0)
+
+
+class TestGeneratorWord:
+    """generator_word stacks partner tables; the reference multiplies TLElements."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_element_product(self, n):
+        rng = random.Random(n)
+        for length in range(12):
+            indices = [rng.randint(1, n - 1) for _ in range(length)]
+            element = TLElement.identity(n)
+            for i in indices:
+                element = element * TLElement.generator(n, i)
+            word = generator_word(n, indices)
+            assert word == element
+            a = complex(math.cos(math.pi / 7), math.sin(math.pi / 7))
+            assert markov_trace(word).evaluate(a) == markov_trace(element).evaluate(a)  # bit for bit
+
+    def test_empty_word_is_identity(self):
+        assert generator_word(4, []) == TLElement.identity(4)
+
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(TLError, match="out of range"):
+            generator_word(4, [1, index])
