@@ -92,10 +92,10 @@ class _Recorder:
         self.details: list[str] = []
 
     def check(self, residual: float, bound: float, label: str) -> None:
-        """A floating residual: raises the worst residual, fails above its bound."""
+        """A floating residual: raises the worst residual, fails unless it is <= its bound (so NaN fails)."""
         self.cases += 1
         self.worst = max(self.worst, residual)
-        if residual > bound:
+        if not residual <= bound:
             self.details.append(f"{label} {residual:.2e}")
 
     def holds(self, ok: bool, label: str) -> None:

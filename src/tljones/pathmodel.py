@@ -6,7 +6,7 @@ bit string: bit 1 steps right, bit 0 steps left, and every prefix endpoint
 must stay inside [1, k-1]. Walks are grouped into sectors by their endpoint
 m; every operator built here preserves sectors. Column c of Phi_i is diag[c]
 at row c plus off[c] at row partner[c], one table per (i, sector), so a letter
-updates a product column by column in O(dim^2) (see _word_product).
+updates a product column by column in O(dim^2), in place (see _word_product).
 
 With the loop weight d = 2 cos(pi/k), the vector lambda_l = sin(pi l / k) is
 the d-eigenvector of the path graph's adjacency matrix, and the generator
@@ -228,11 +228,15 @@ def _phi_block(basis: PathBasis, i: int, m: int, x: complex = 1.0, y: complex = 
 
 
 def _word_product(basis: PathBasis, m: int, letters, dtype) -> np.ndarray:
-    """Product of x Phi_i + y I over (i, x, y) in letters on sector m: acc * (x diag + y) + acc[:, partner] * (x off)."""
+    """Product of x Phi_i + y I over (i, x, y) in letters on sector m: acc * (x diag + y) + acc[:, partner] * (x off), in place."""
     acc = np.eye(len(basis.sectors[m]), dtype=dtype)
+    buf = np.empty_like(acc)
     for i, x, y in letters:
         diag, off, partner = basis.tables[i, m]
-        acc = acc * (x * diag + y) + acc[:, partner] * (x * off)
+        np.take(acc, partner, axis=1, out=buf, mode="clip")  # partner is in range; "raise" would copy through a buffer
+        buf *= x * off
+        acc *= x * diag + y
+        acc += buf
     return acc
 
 

@@ -17,11 +17,12 @@ phase gate diag(1, i) for the imaginary variant.
 
 Bit streams are counter-based (Philox keyed by a SHA-256 hash of the master
 seed, the sector, the walk index, and the test kind), so results are
-reproducible and independent of loop order. The estimator reads only the
-number of 1-bits in a channel's shots, and that number is exactly
-Binomial(shots, 1 - Prob(bit 0)), so each channel draws its count once from
-its stream instead of drawing every bit. A call over MAX_SHOTS is refused
-before any gate is built.
+reproducible and independent of loop order; the key reaches Philox through a
+key-only seed sequence, so building a stream draws no OS entropy. The
+estimator reads only the number of 1-bits in a channel's shots, and that
+number is exactly Binomial(shots, 1 - Prob(bit 0)), so each channel draws its
+count once from its stream instead of drawing every bit. A call over
+MAX_SHOTS is refused before any gate is built.
 
 Degenerate-channel short circuit: when one channel's Bernoulli law is
 deterministic (probability exactly 0 or 1), that component of the bracket is
@@ -42,6 +43,7 @@ value itself.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -92,12 +94,24 @@ class SamplerConfig:
         return iterations_for(self.epsilon, self.delta)
 
 
+@functools.cache
+def _key_sequence() -> type:
+    """A seed sequence that hands Philox its key words as they are, made on first use: numpy.random loads with the first stream."""
+    class KeySequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint64):
+            return self.words
+    return KeySequence
+
+
 def bit_stream(seed: int, sector: int, path_index: int, kind: str) -> np.random.Generator:
-    """Counter-based generator for one (sector, walk, test-kind) stream."""
+    """Counter-based generator for one (sector, walk, test-kind) stream, keyed as Philox(key=...) keys it, without its OS entropy."""
     tag = f"{seed & 0xFFFFFFFFFFFFFFFF}:{sector}:{path_index}:{kind}"
     digest = hashlib.sha256(tag.encode("ascii")).digest()
-    key = int.from_bytes(digest[:16], "big")
-    return np.random.Generator(np.random.Philox(key=key))
+    words = np.array([int.from_bytes(digest[8:16], "big"), int.from_bytes(digest[:8], "big")], dtype=np.uint64)  # the big-endian 128-bit key, low word first
+    return np.random.Generator(np.random.Philox(_key_sequence()(words)))
 
 
 def _checked_probability(p: float) -> float:

@@ -5,6 +5,8 @@ import dataclasses
 import re
 import types
 
+import pytest
+
 import tljones
 from tljones import checks, tl
 from tljones.checks import Tolerances, _Recorder, run_verification
@@ -31,6 +33,15 @@ class TestRecorder:
         assert (report.name, report.passed, report.cases) == ("suite", False, 3)
         assert report.max_residual == 3e-12
         assert report.details == ["above the bound 3.00e-12"]
+
+    def test_non_finite_residual_fails(self):
+        rec = _Recorder()
+        rec.check(float("nan"), 1e-12, "nan residual")
+        rec.check(float("inf"), 1e-12, "inf residual")
+        report = rec.report("suite")
+        assert (report.passed, report.cases) == (False, 2)
+        assert report.details == ["nan residual nan", "inf residual inf"]
+        assert report.max_residual == float("inf")
 
     def test_exact_comparison_keeps_its_label(self):
         rec = _Recorder()
@@ -81,6 +92,52 @@ class TestSuiteCases:
         report = checks.check_tl_relations(n_max=3)
         assert (report.passed, report.cases) == (False, 4)
         assert report.details == ["n=2: associativity sample 0", "n=3: associativity sample 0"]
+
+
+# The check_representation residuals each Tolerances field bounds, by the label's last part.
+REPRESENTATION_LABELS = {
+    "eigen_residual": ("eigenvector residual",),
+    "symmetry": ("symmetry",),
+    "phi_relations": ("idempotency", "recoupling"),
+    "spectrum": ("spectrum",),
+    "unitarity": ("unitarity",),
+    "braid_relations": ("braid relation",),
+    "distant_commutation": ("commutation",),
+}
+# Phi_i is built exactly symmetric and distant generators touch disjoint bits,
+# so these two residuals are exactly 0 and cannot exceed even a zero bound.
+EXACTLY_ZERO = {"symmetry", "distant_commutation"}
+
+
+def _residual_name(detail: str) -> str:
+    """The residual's name in a "{place}: {name} {residual:.2e}" detail line."""
+    return detail.rsplit(": ", 1)[1].rsplit(" ", 1)[0]
+
+
+class TestRepresentationWiring:
+    @pytest.mark.parametrize("field", sorted(set(REPRESENTATION_LABELS) - EXACTLY_ZERO))
+    def test_zero_field_fails_only_its_own_residuals(self, field):
+        report = checks.check_representation(n_max=4, k_max=5, tol=Tolerances(**{field: 0.0}))
+        names = {_residual_name(line) for line in report.details}
+        assert not report.passed
+        assert names and names <= set(REPRESENTATION_LABELS[field]), names
+
+    def test_every_residual_is_bounded_by_its_own_field(self, monkeypatch):
+        fields = sorted(REPRESENTATION_LABELS)
+        tol = Tolerances(**{field: (j + 1) * 1e-3 for j, field in enumerate(fields)})  # one distinct bound per field
+        bound_of = {label: getattr(tol, field) for field in fields for label in REPRESENTATION_LABELS[field]}
+        seen = set()
+        check = _Recorder.check
+
+        def spy(self, residual, bound, label):
+            name = label.rsplit(": ", 1)[1]
+            assert bound == bound_of[name], label
+            seen.add(name)
+            check(self, residual, bound, label)
+
+        monkeypatch.setattr(_Recorder, "check", spy)
+        assert checks.check_representation(n_max=4, k_max=5, tol=tol).passed
+        assert seen == set(bound_of)
 
 
 def test_public_names_are_exactly_the_bound_names():

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +273,28 @@ class TestVerify:
     def test_unknown_profile(self, capsys):
         status, _, err = run_cli(capsys, "verify", "--profile", "nope")
         assert status == 2 and "profile" in err
+
+    def test_verify_never_imports_numpy_random(self):
+        # numpy.random costs about 2 MB of resident memory, and verify draws no random numbers.
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import numpy\n"
+            "eager = 'numpy.random' in sys.modules\n"  # NumPy < 2 imports it with numpy itself
+            "from tljones import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(['verify', '--n', '4', '--k', '5', '--samples', '5'])\n"
+            "print(json.dumps([status, eager, 'numpy.random' in sys.modules]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run([sys.executable, "-W", "error", "-c", script], env={**os.environ, "PYTHONPATH": path},
+                                   capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        status, eager, loaded = json.loads(completed.stdout)
+        assert status == 0
+        if eager:
+            pytest.skip("this NumPy imports numpy.random together with numpy")
+        assert not loaded
 
     def test_profile_is_not_read_from_the_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TLJONES_TOL_PROFILE", "strict")

@@ -334,3 +334,41 @@ class TestLetterTables:
     def test_product_rejects_out_of_range_generator(self):
         with pytest.raises(PathModelError, match="out of range"):
             sector_products(enumerate_paths(3, 5), [1, 3])
+
+
+def allocating_word_product(basis, m: int, letters, dtype) -> np.ndarray:
+    """The allocating form of the column update, one fresh accumulator per letter (test reference)."""
+    acc = np.eye(len(basis.sectors[m]), dtype=dtype)
+    for i, x, y in letters:
+        diag, off, partner = basis.tables[i, m]
+        acc = acc * (x * diag + y) + acc[:, partner] * (x * off)
+    return acc
+
+
+class TestInPlaceLetterUpdate:
+    """The in-place kernel applies the same elementwise operations, so it must agree bit for bit."""
+
+    @pytest.mark.parametrize(("n", "k"), [(4, 5), (8, 10), (12, 6), (12, 8)])
+    def test_bit_identical_to_allocating_update(self, n, k):
+        basis = enumerate_paths(n, k)
+        rng = random.Random(100 * n + k)
+        word = BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(20)))
+        a = basis.params.a_value
+        gate_letters = [(i, a, 1 / a) if sign == 1 else (i, 1 / a, a) for i, sign in word.letters]
+        indices = [i for i, _ in word.letters]
+        products = sector_products(basis, indices)
+        fixed_columns = 0
+        for m in basis.nonempty_sectors():
+            fixed_columns += sum(int(np.sum(basis.tables[i, m][2] == np.arange(len(basis.sectors[m])))) for i in indices)
+            for letters, dtype in (
+                (gate_letters, complex),
+                ([(i, 1.0, 0.0) for i in indices], float),
+                ([(i, 0.7, -1.3) for i in indices], float),
+                ([(i, 0.6 - 0.8j, 0.25j) for i in indices], complex),
+            ):
+                got = tljones.pathmodel._word_product(basis, m, letters, dtype)
+                assert got.dtype == np.dtype(dtype)
+                assert np.array_equal(got, allocating_word_product(basis, m, letters, dtype))
+            assert np.array_equal(global_gate(basis, word, m).matrix, allocating_word_product(basis, m, gate_letters, complex))
+            assert np.array_equal(products[m], allocating_word_product(basis, m, [(i, 1.0, 0.0) for i in indices], float))
+        assert fixed_columns > 0  # columns whose partner is themselves (partner[c] == c) are covered

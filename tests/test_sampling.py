@@ -1,9 +1,11 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import random
 
 import numpy as np
+import numpy.random.bit_generator
 import pytest
 
 from tljones import sampling
@@ -382,6 +384,28 @@ class TestStreams:
             bit_stream(7, 3, 1, "im").random(16).tolist()
             == bit_stream(7, 3, 1, "im").random(16).tolist()
         )
+
+    @pytest.mark.parametrize(
+        ("seed", "sector", "path_index", "kind"),
+        [(0, 1, 0, "re"), (7, 3, 1, "im"), (31415, 5, 120, "re"), (-1, 2, 3, "im"), (-8, 1, 0, "re"), (2**64 + 5, 2, 3, "im"), (3**50, 9, 7, "re")],
+    )
+    def test_keyed_as_philox_key(self, seed, sector, path_index, kind):
+        tag = f"{seed & 0xFFFFFFFFFFFFFFFF}:{sector}:{path_index}:{kind}"
+        key = int.from_bytes(hashlib.sha256(tag.encode("ascii")).digest()[:16], "big")
+        reference = np.random.Generator(np.random.Philox(key=key))
+        stream = bit_stream(seed, sector, path_index, kind)
+        assert np.array_equal(stream.bit_generator.state["state"]["key"], reference.bit_generator.state["state"]["key"])
+        assert np.array_equal(stream.random(16), reference.random(16))
+        assert stream.binomial(738, 0.3) == reference.binomial(738, 0.3)
+
+    def test_no_os_entropy_drawn(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("OS entropy drawn")
+
+        monkeypatch.setattr(numpy.random.bit_generator, "randbits", refuse)
+        with pytest.raises(AssertionError, match="OS entropy drawn"):
+            np.random.Philox(key=1)  # the refusal is wired: Philox(key=...) alone draws it
+        assert 0.0 <= bit_stream(3, 1, 4, "re").random() < 1.0
 
 
 class TestCircuitCheck:
