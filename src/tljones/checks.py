@@ -92,9 +92,10 @@ class _Recorder:
         self.details: list[str] = []
 
     def check(self, residual: float, bound: float, label: str) -> None:
-        """A floating residual: raises the worst residual, fails unless it is <= its bound (so NaN fails)."""
+        """A floating residual: raises the worst residual (NaN for good once one is NaN), fails unless it is <= its bound."""
         self.cases += 1
-        self.worst = max(self.worst, residual)
+        if residual > self.worst or math.isnan(residual):
+            self.worst = residual
         if not residual <= bound:
             self.details.append(f"{label} {residual:.2e}")
 

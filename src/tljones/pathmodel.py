@@ -133,12 +133,13 @@ class PathBasis:
 
 
 def count_walks(n: int, k: int) -> dict[int, int]:
-    """Admissible walks per nonempty endpoint sector, by an O(n k) dynamic program."""
+    """Admissible walks per nonempty endpoint sector, by an O(n min(k, n)) dynamic program."""
     if n < 1 or k < 3:
         raise PathModelError(f"need n >= 1 and k >= 3, got n={n}, k={k}")
-    counts = [0, 1] + [0] * (k - 1)  # counts[v] for v in 0..k; 0 and k are sentinels
+    top = min(k, n + 2)  # a walk of length n stays below height n + 2, so a wall there changes nothing
+    counts = [0, 1] + [0] * (top - 1)  # counts[v] for v in 0..top; 0 and top are sentinels
     for _ in range(n):
-        counts = [0] + [counts[v - 1] + counts[v + 1] for v in range(1, k)] + [0]
+        counts = [0] + [counts[v - 1] + counts[v + 1] for v in range(1, top)] + [0]
     return {m: count for m, count in enumerate(counts) if count}
 
 

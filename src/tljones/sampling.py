@@ -15,14 +15,14 @@ circuit identity itself once, by direct statevector simulation of
 (H on ancilla) -> controlled-U -> (H on ancilla), with an extra ancilla
 phase gate diag(1, i) for the imaginary variant.
 
-Bit streams are counter-based (Philox keyed by a SHA-256 hash of the master
-seed, the sector, the walk index, and the test kind), so results are
-reproducible and independent of loop order; the key reaches Philox through a
-key-only seed sequence, so building a stream draws no OS entropy. The
-estimator reads only the number of 1-bits in a channel's shots, and that
-number is exactly Binomial(shots, 1 - Prob(bit 0)), so each channel draws its
-count once from its stream instead of drawing every bit. A call over
-MAX_SHOTS is refused before any gate is built.
+Each sample_jones_value call draws from one stream: a Philox generator seeded
+by an integer SeedSequence of the master seed, which draws no OS entropy, so
+repeat runs are byte-identical. The estimator reads only the number of 1-bits
+in a channel's shots, and that number is exactly
+Binomial(shots, 1 - Prob(bit 0)), so each channel of each non-forced walk is
+one count: the sampler draws every walk's real count in one binomial call,
+then every imaginary count in another. A call over MAX_SHOTS is refused
+before any gate is built.
 
 Degenerate-channel short circuit: when one channel's Bernoulli law is
 deterministic (probability exactly 0 or 1), that component of the bracket is
@@ -43,8 +43,6 @@ value itself.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import hashlib
 import math
 
 import numpy as np
@@ -65,12 +63,16 @@ MAX_SHOTS = 10**9
 
 
 def iterations_for(epsilon: float, delta: float) -> int:
-    """Two-sided Hoeffding sample count: ceil(ln(2/delta) / (2 epsilon^2))."""
+    """Two-sided Hoeffding sample count: ceil(ln(2/delta) / (2 epsilon^2)), refused over MAX_SHOTS."""
     if not 0.0 < epsilon < 1.0:
         raise SamplerError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise SamplerError(f"delta must be in (0, 1), got {delta}")
-    return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2)))
+    denominator = 2.0 * epsilon**2  # 0.0 once epsilon^2 underflows
+    shots = math.log(2.0 / delta) / denominator if denominator else math.inf
+    if shots > MAX_SHOTS:  # inf too, where 2/delta or the quotient overflows
+        raise SamplerError(f"epsilon={epsilon}, delta={delta} need {shots:.3g} shots per channel, over the shot budget {MAX_SHOTS}")
+    return max(1, math.ceil(shots))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,30 +96,17 @@ class SamplerConfig:
         return iterations_for(self.epsilon, self.delta)
 
 
-@functools.cache
-def _key_sequence() -> type:
-    """A seed sequence that hands Philox its key words as they are, made on first use: numpy.random loads with the first stream."""
-    class KeySequence(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint64):
-            return self.words
-    return KeySequence
+def bit_stream(seed: int) -> np.random.Generator:
+    """The one generator of a sampler run, seeded by the seed's low 64 bits; an integer SeedSequence draws no OS entropy."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed & 0xFFFF_FFFF_FFFF_FFFF)))
 
 
-def bit_stream(seed: int, sector: int, path_index: int, kind: str) -> np.random.Generator:
-    """Counter-based generator for one (sector, walk, test-kind) stream, keyed as Philox(key=...) keys it, without its OS entropy."""
-    tag = f"{seed & 0xFFFFFFFFFFFFFFFF}:{sector}:{path_index}:{kind}"
-    digest = hashlib.sha256(tag.encode("ascii")).digest()
-    words = np.array([int.from_bytes(digest[8:16], "big"), int.from_bytes(digest[:8], "big")], dtype=np.uint64)  # the big-endian 128-bit key, low word first
-    return np.random.Generator(np.random.Philox(_key_sequence()(words)))
-
-
-def _checked_probability(p: float) -> float:
-    if p < -1e-9 or p > 1.0 + 1e-9:
-        raise SamplerError(f"bit probability {p} outside [0, 1]; operator is not unitary")
-    return min(1.0, max(0.0, p))
+def _checked_probability(p: np.ndarray) -> np.ndarray:
+    """The laws p clipped to [0, 1]; a law more than 1e-9 outside means a non-unitary operator."""
+    bad = np.asarray(p)[(p < -1e-9) | (p > 1.0 + 1e-9)]
+    if bad.size:
+        raise SamplerError(f"bit probability {bad[0]} outside [0, 1]; operator is not unitary")
+    return np.clip(p, 0.0, 1.0)
 
 
 def bit_laws(a: complex) -> tuple[float, float]:
@@ -144,30 +133,25 @@ def forced_bracket(a: complex) -> complex | None:
     return None
 
 
-def _draw_bracket(a: complex, iterations: int, re_rng: np.random.Generator, im_rng: np.random.Generator) -> complex:
-    """Frequency estimate of a non-forced bracket a from one 1-count per channel, real first.
+def _draw_brackets(a: np.ndarray, iterations: int, rng: np.random.Generator) -> list[complex]:
+    """Frequency estimates of the non-forced brackets a from one 1-count per channel and walk.
 
     The count of 1-bits among `iterations` shots of the law Prob(0) = p0 is
-    Binomial(iterations, 1 - p0); both laws are checked before either draw.
+    Binomial(iterations, 1 - p0). Every law is checked before any draw; then
+    every real count is drawn in walk order, then every imaginary count.
     """
     p0_re, p0_im = (_checked_probability(p0) for p0 in bit_laws(a))
-    ones_re = re_rng.binomial(iterations, 1.0 - p0_re)
-    ones_im = im_rng.binomial(iterations, 1.0 - p0_im)
-    return complex((iterations - 2 * ones_re) / iterations, -(iterations - 2 * ones_im) / iterations)
+    ones_re = rng.binomial(iterations, 1.0 - p0_re)
+    ones_im = rng.binomial(iterations, 1.0 - p0_im)
+    return [complex((iterations - 2 * re) / iterations, -(iterations - 2 * im) / iterations)
+            for re, im in zip(ones_re.tolist(), ones_im.tolist())]
 
 
-def estimate_bracket(
-    u: SectorOperator,
-    p: int,
-    iterations: int,
-    rng: np.random.Generator,
-    im_rng: np.random.Generator | None = None,
-) -> complex:
-    """Frequency estimate of <p|U|p> from `iterations` shots per channel.
+def estimate_bracket(u: SectorOperator, p: int, iterations: int, rng: np.random.Generator) -> complex:
+    """Frequency estimate of <p|U|p> from `iterations` shots per channel, both counts from rng, real first.
 
-    The real count comes from rng and the imaginary count from im_rng; without
-    im_rng both channels share rng, real first. Degenerate channels
-    short-circuit to the exact forced bracket without drawing any bits.
+    Degenerate channels short-circuit to the exact forced bracket without
+    drawing any bits.
     """
     if iterations < 1:
         raise SamplerError(f"iterations must be >= 1, got {iterations}")
@@ -175,17 +159,18 @@ def estimate_bracket(
     forced = forced_bracket(a)
     if forced is not None:
         return forced
-    return _draw_bracket(a, iterations, rng, rng if im_rng is None else im_rng)
+    return _draw_brackets(np.array([a]), iterations, rng)[0]
 
 
 def sample_jones_value(word: BraidWord, k: int, config: SamplerConfig) -> EvaluationResult:
     """Estimate the Jones value of a braid closure from simulated circuit shots.
 
-    Loop over sectors and walks, with one independent stream per (sector,
-    walk, test kind). raw_trace is the literal loop output
-    sum_m lambda_m * sector sum; the returned value additionally divides by N
-    and applies the writhe prefactor and d^(n-1), matching the exact
-    evaluator's arithmetic exactly so error-free runs agree bitwise.
+    Loop over sectors and walks, asking forced_bracket about each walk, then
+    draw every non-forced walk's counts from the run's one stream. raw_trace
+    is the literal loop output sum_m lambda_m * sector sum; the returned value
+    additionally divides by N and applies the writhe prefactor and d^(n-1),
+    matching the exact evaluator's arithmetic exactly so error-free runs agree
+    bitwise.
 
     value_error_bound holds for the whole run with probability at least
     error_confidence = 1 - delta: each non-forced shot moves one component of
@@ -200,15 +185,16 @@ def sample_jones_value(word: BraidWord, k: int, config: SamplerConfig) -> Evalua
     gates = build_gates(basis, word)
     params = basis.params
 
+    brackets = {m: [forced_bracket(complex(a)) for a in gates[m].matrix.diagonal()] for m in basis.nonempty_sectors()}
+    free = np.concatenate([gates[m].matrix.diagonal()[[b is None for b in sector]] for m, sector in brackets.items()])
+    drawn = iter(_draw_brackets(free, iterations, bit_stream(config.seed)))
     raw = 0j
     drawn_weight = 0.0  # sum of lambda_m^2 over the walks that draw shots
-    for m in basis.nonempty_sectors():
+    for m, sector in brackets.items():
         sector_sum = 0j
-        for p in range(len(basis.sectors[m])):
-            a = complex(gates[m].matrix[p, p])
-            bracket = forced_bracket(a)
+        for bracket in sector:
             if bracket is None:
-                bracket = _draw_bracket(a, iterations, bit_stream(config.seed, m, p, "re"), bit_stream(config.seed, m, p, "im"))
+                bracket = next(drawn)
                 drawn_weight += params.lam[m] ** 2
             sector_sum += bracket
         raw += params.lam[m] * sector_sum

@@ -2,6 +2,7 @@
 worst residual and writes one detail line per failure."""
 
 import dataclasses
+import math
 import re
 import types
 
@@ -41,7 +42,14 @@ class TestRecorder:
         report = rec.report("suite")
         assert (report.passed, report.cases) == (False, 2)
         assert report.details == ["nan residual nan", "inf residual inf"]
-        assert report.max_residual == float("inf")
+        assert math.isnan(report.max_residual)
+
+    @pytest.mark.parametrize("residuals", [(float("nan"), 1e-15), (1e-15, float("nan")), (3e-12, float("nan"), 0.5)])
+    def test_nan_residual_is_the_max_residual_in_any_order(self, residuals):
+        rec = _Recorder()
+        for residual in residuals:
+            rec.check(residual, 1e-12, "x")
+        assert math.isnan(rec.report("suite").max_residual)
 
     def test_exact_comparison_keeps_its_label(self):
         rec = _Recorder()

@@ -33,6 +33,11 @@ class TestPaths:
         assert status == 0 and err == ""
         assert json.loads(out)["total"] == 91586476950
 
+    def test_cost_does_not_grow_with_k(self, capsys):
+        status, out, err = run_cli(capsys, "paths", "--n", "3", "--k", "1000000000")
+        assert status == 0 and err == ""
+        assert json.loads(out)["dims"] == {"2": 2, "4": 1}
+
 
 @pytest.mark.parametrize("command", ["evaluate", "sample"])
 def test_oversized_model_refused_before_enumeration(capsys, monkeypatch, command):
@@ -202,6 +207,16 @@ class TestSample:
         )
         assert status == 2 and out == ""
         assert "budget" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--epsilon", "1e-200"), ("--epsilon", "1e-160"), ("--delta", "1e-320"), ("--epsilon", "1e-100")]
+    )
+    def test_tiny_epsilon_or_delta_refused(self, capsys, flag, value):
+        # epsilon^2 underflowing to 0, or ln(2/delta) / (2 epsilon^2) overflowing, is an input error, not a crash
+        status, out, err = run_cli(capsys, "sample", "--braid", "1", "--strands", "2", "--k", "5", flag, value)
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and "budget" in err and len(err.splitlines()) == 1
+        assert len(err) < 200
 
     def test_byte_identical_repeat(self, capsys):
         args = (

@@ -107,6 +107,12 @@ class TestEnumeration:
     def test_count_walks_matches_enumeration(self, n, k):
         assert count_walks(n, k) == enumerate_paths(n, k).sector_dims()
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_count_walks_ignores_k_past_the_walk_height(self, n):
+        # a walk of length n never reaches height n + 2, so a larger k adds no walks
+        for k in range(n + 3, 13):
+            assert count_walks(n, k) == count_walks(n, n + 2)
+
     @pytest.mark.parametrize("n, k", [(0, 5), (3, 2)])
     def test_count_walks_rejects_bad_sizes(self, n, k):
         with pytest.raises(PathModelError):

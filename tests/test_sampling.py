@@ -1,5 +1,4 @@
 import concurrent.futures
-import hashlib
 import json
 import math
 import random
@@ -74,6 +73,32 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def reference_raw_trace(word: BraidWord, k: int, config: SamplerConfig) -> complex:
+    """The sampler's loop output rebuilt with one scalar draw at a time.
+
+    One stream per run: the non-forced walks in walk order draw every real
+    1-count, then the same walks draw every imaginary 1-count.
+    """
+    basis = enumerate_paths(word.strands, k)
+    gates = build_gates(basis, word)
+    iterations = config.resolved_iterations()
+    walks = [(m, complex(gates[m].matrix[p, p])) for m in basis.nonempty_sectors() for p in range(len(basis.sectors[m]))]
+    free = [a for _, a in walks if forced_bracket(a) is None]
+    rng = bit_stream(config.seed)
+    ones_re = [rng.binomial(iterations, 1.0 - _checked_probability(bit_laws(a)[0])) for a in free]
+    ones_im = [rng.binomial(iterations, 1.0 - _checked_probability(bit_laws(a)[1])) for a in free]
+    drawn = iter([complex((iterations - 2 * r) / iterations, -(iterations - 2 * i) / iterations) for r, i in zip(ones_re, ones_im)])
+    raw = 0j
+    for m in basis.nonempty_sectors():
+        sector_sum = 0j
+        for sector, a in walks:
+            if sector == m:
+                forced = forced_bracket(a)
+                sector_sum += next(drawn) if forced is None else forced
+        raw += basis.params.lam[m] * sector_sum
+    return raw
+
+
 class TestIterationsFor:
     def test_documented_values(self):
         assert iterations_for(0.1, 0.05) == 185
@@ -89,6 +114,18 @@ class TestIterationsFor:
             with pytest.raises(SamplerError):
                 iterations_for(0.1, bad)
 
+    @pytest.mark.parametrize("epsilon, delta", [(1e-200, 0.05), (1e-160, 0.05), (0.1, 1e-320), (1e-6, 0.05)])
+    def test_over_the_shot_budget_refused(self, epsilon, delta):
+        with pytest.raises(SamplerError, match="budget"):
+            iterations_for(epsilon, delta)
+
+    def test_budget_bounds_the_count(self, monkeypatch):
+        monkeypatch.setattr(sampling, "MAX_SHOTS", 185)
+        assert iterations_for(0.1, 0.05) == 185
+        monkeypatch.setattr(sampling, "MAX_SHOTS", 184)
+        with pytest.raises(SamplerError, match="184"):
+            iterations_for(0.1, 0.05)
+
     def test_config_resolution(self):
         assert SamplerConfig(epsilon=0.05, delta=0.05).resolved_iterations() == 738
         assert SamplerConfig(iterations=17).resolved_iterations() == 17
@@ -98,39 +135,39 @@ class TestIterationsFor:
 
 class TestHadamardBits:
     def test_identity_re_always_zero(self):
-        rng = bit_stream(0, 0, 0, "re")
+        rng = bit_stream(0)
         u = scalar_op(1.0)
         assert all(hadamard_test_re(u, 0, rng) == 0 for _ in range(200))
 
     def test_negative_identity_re_always_one(self):
-        rng = bit_stream(0, 0, 0, "re")
+        rng = bit_stream(0)
         u = scalar_op(-1.0)
         assert all(hadamard_test_re(u, 0, rng) == 1 for _ in range(200))
 
     def test_i_identity_im_always_one(self):
-        rng = bit_stream(0, 0, 0, "im")
+        rng = bit_stream(0)
         u = scalar_op(1j)
         assert all(hadamard_test_im(u, 0, rng) == 1 for _ in range(200))
 
     def test_minus_i_identity_im_always_zero(self):
-        rng = bit_stream(0, 0, 0, "im")
+        rng = bit_stream(0)
         u = scalar_op(-1j)
         assert all(hadamard_test_im(u, 0, rng) == 0 for _ in range(200))
 
     def test_i_identity_re_is_fair_coin(self):
-        rng = bit_stream(3, 0, 0, "re")
+        rng = bit_stream(3)
         bits = [hadamard_test_re(scalar_op(1j), 0, rng) for _ in range(10**4)]
         freq = bits.count(0) / len(bits)
         assert abs(freq - 0.5) <= 3 * 0.5 / math.sqrt(10**4)
 
     def test_identity_im_is_fair_coin(self):
-        rng = bit_stream(4, 0, 0, "im")
+        rng = bit_stream(4)
         bits = [hadamard_test_im(scalar_op(1.0), 0, rng) for _ in range(10**4)]
         freq = bits.count(0) / len(bits)
         assert abs(freq - 0.5) <= 3 * 0.5 / math.sqrt(10**4)
 
     def test_non_unitary_rejected(self):
-        rng = bit_stream(0, 0, 0, "re")
+        rng = bit_stream(0)
         with pytest.raises(SamplerError, match="unitary"):
             hadamard_test_re(scalar_op(1.5), 0, rng)
 
@@ -144,8 +181,8 @@ class TestHadamardBits:
             a = complex(u.matrix[p, p])
             p0_re = 0.5 + 0.5 * a.real
             p0_im = 0.5 - 0.5 * a.imag
-            re_rng = bit_stream(100 + case, 0, p, "re")
-            im_rng = bit_stream(100 + case, 0, p, "im")
+            re_rng = bit_stream(100 + 2 * case)
+            im_rng = bit_stream(101 + 2 * case)
             re_zeros = int(np.count_nonzero(re_rng.random(draws) < p0_re))
             im_zeros = int(np.count_nonzero(im_rng.random(draws) < p0_im))
             for zeros, p0 in ((re_zeros, p0_re), (im_zeros, p0_im)):
@@ -165,22 +202,22 @@ class TestForcedBrackets:
 
 class TestEstimateBracket:
     def test_identity_exact(self):
-        rng = bit_stream(0, 0, 0, "re")
+        rng = bit_stream(0)
         assert estimate_bracket(scalar_op(1.0), 0, 50, rng) == 1 + 0j
 
     def test_negative_identity_exact(self):
-        rng = bit_stream(0, 0, 0, "re")
+        rng = bit_stream(0)
         assert estimate_bracket(scalar_op(-1.0), 0, 50, rng) == -1 + 0j
 
     def test_bracket_06_golden(self):
         u = SectorOperator(1, np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex))
-        est = estimate_bracket(u, 0, 10**5, bit_stream(7, 1, 0, "re"))
-        assert est == (0.60122 - 0.00378j)  # frozen seeded regression value
+        est = estimate_bracket(u, 0, 10**5, bit_stream(7))
+        assert est == (0.59892 + 0.00168j)  # frozen seeded regression value
         assert abs(est.real - 0.6) <= 0.01
 
     def test_iterations_validated(self):
         with pytest.raises(SamplerError):
-            estimate_bracket(scalar_op(0.5), 0, 0, bit_stream(0, 0, 0, "re"))
+            estimate_bracket(scalar_op(0.5), 0, 0, bit_stream(0))
 
 
 class TestChunkedCount:
@@ -188,9 +225,9 @@ class TestChunkedCount:
 
     @staticmethod
     def assert_same_bits(p0: float, n: int) -> None:
-        reference = bit_stream(5, 0, 0, "re")
+        reference = bit_stream(5)
         ones = int(np.count_nonzero(reference.random(n) >= p0))
-        chunked = bit_stream(5, 0, 0, "re")
+        chunked = bit_stream(5)
         assert bit_level_frequency(chunked, n, p0) == (n - 2 * ones) / n
         assert chunked.random() == reference.random()  # both consumed exactly n words
 
@@ -203,7 +240,7 @@ class TestChunkedCount:
         # p0 equal to a drawn uniform counts that draw as a 1-bit, the next float up does not.
         # The draw picked has a raw word with its low 11 bits zero, and lies below 1/2,
         # where floats are finer than 2^-53.
-        raw = bit_stream(5, 0, 0, "re").bit_generator.random_raw(10**5)
+        raw = bit_stream(5).bit_generator.random_raw(10**5)
         i = int(np.flatnonzero(((raw & 0x7FF) == 0) & (raw < 2**63))[0])
         drawn = float(raw[i] >> 11) * 2.0**-53
         for p0 in (drawn, np.nextafter(drawn, 0.0), np.nextafter(drawn, 1.0)):
@@ -221,11 +258,11 @@ class TestCountLaw:
         shots = self.SHOTS
         u = scalar_op(2.0 * p0 - 1.0)  # real-channel law Prob(0) = p0
         drawn = np.array([
-            round(shots * (1.0 - estimate_bracket(u, 0, shots, bit_stream(seed, 0, 0, "re")).real) / 2)
+            round(shots * (1.0 - estimate_bracket(u, 0, shots, bit_stream(seed)).real) / 2)
             for seed in range(self.SEEDS)
         ])
         bits = np.array([
-            round(shots * (1.0 - bit_level_frequency(bit_stream(seed, 1, 0, "re"), shots, p0)) / 2)
+            round(shots * (1.0 - bit_level_frequency(bit_stream(self.SEEDS + seed), shots, p0)) / 2)
             for seed in range(self.SEEDS)
         ])
         mean, var = shots * (1.0 - p0), shots * p0 * (1.0 - p0)
@@ -287,8 +324,8 @@ class TestSampleJonesValue:
         word = parse_braid_word("1 1 1", 2)
         res = sample_jones_value(word, 5, SamplerConfig(epsilon=0.05, delta=0.05, seed=42))
         assert res.iterations == 738
-        assert res.value == (-0.820652652949821 - 1.3161422196333774j)  # frozen
-        assert res.raw_trace == (-0.9492780578362734 + 1.129091791142547j)  # frozen
+        assert res.value == (-0.7862554241194022 - 1.3196290732555043j)  # frozen
+        assert res.raw_trace == (-0.9625410384790609 + 1.0990039659537256j)  # frozen
         assert abs(res.value - res.exact_value) <= 0.15
 
     def test_estimate_tracks_exact_value(self):
@@ -330,23 +367,12 @@ class TestSampleJonesValue:
         # `workers` calls running on as many threads at once each give the serial loop's record
         word = parse_braid_word("1 -2 1 3 -2", 4)
         config = SamplerConfig(epsilon=0.05, seed=17)
-        basis = enumerate_paths(4, 6)
-        gates = build_gates(basis, word)
-        serial_raw = 0j
-        for m in basis.nonempty_sectors():
-            sector_sum = 0j
-            for p in range(len(basis.sectors[m])):
-                sector_sum += estimate_bracket(
-                    gates[m], p, config.resolved_iterations(),
-                    bit_stream(17, m, p, "re"), bit_stream(17, m, p, "im"),
-                )
-            serial_raw += basis.params.lam[m] * sector_sum
         reference = sample_jones_value(word, 6, config)
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             results = list(pool.map(lambda _: sample_jones_value(word, 6, config), range(workers)))
         for res in results:
             assert res == reference
-            assert res.raw_trace == serial_raw
+            assert res.raw_trace == reference_raw_trace(word, 6, config)
 
     def test_shot_budget(self, monkeypatch):
         word = parse_braid_word("1 1 1", 2)
@@ -372,31 +398,17 @@ class TestSampleJonesValue:
 
 
 class TestStreams:
-    def test_streams_differ_by_all_coordinates(self):
-        base = bit_stream(0, 1, 2, "re").random(8).tolist()
-        assert bit_stream(1, 1, 2, "re").random(8).tolist() != base
-        assert bit_stream(0, 2, 2, "re").random(8).tolist() != base
-        assert bit_stream(0, 1, 3, "re").random(8).tolist() != base
-        assert bit_stream(0, 1, 2, "im").random(8).tolist() != base
-
     def test_streams_reproducible(self):
-        assert (
-            bit_stream(7, 3, 1, "im").random(16).tolist()
-            == bit_stream(7, 3, 1, "im").random(16).tolist()
-        )
+        assert bit_stream(7).random(16).tolist() == bit_stream(7).random(16).tolist()
 
-    @pytest.mark.parametrize(
-        ("seed", "sector", "path_index", "kind"),
-        [(0, 1, 0, "re"), (7, 3, 1, "im"), (31415, 5, 120, "re"), (-1, 2, 3, "im"), (-8, 1, 0, "re"), (2**64 + 5, 2, 3, "im"), (3**50, 9, 7, "re")],
-    )
-    def test_keyed_as_philox_key(self, seed, sector, path_index, kind):
-        tag = f"{seed & 0xFFFFFFFFFFFFFFFF}:{sector}:{path_index}:{kind}"
-        key = int.from_bytes(hashlib.sha256(tag.encode("ascii")).digest()[:16], "big")
-        reference = np.random.Generator(np.random.Philox(key=key))
-        stream = bit_stream(seed, sector, path_index, kind)
-        assert np.array_equal(stream.bit_generator.state["state"]["key"], reference.bit_generator.state["state"]["key"])
+    @pytest.mark.parametrize("seed", [0, 5, -1, -8, 2**64 + 5, 3**50])
+    def test_seeded_by_the_low_64_bits(self, seed):
+        low = seed & 0xFFFF_FFFF_FFFF_FFFF
+        reference = np.random.Generator(np.random.Philox(np.random.SeedSequence(low)))
+        stream = bit_stream(seed)
         assert np.array_equal(stream.random(16), reference.random(16))
         assert stream.binomial(738, 0.3) == reference.binomial(738, 0.3)
+        assert bit_stream(seed + 2**64).random(8).tolist() == bit_stream(low).random(8).tolist()
 
     def test_no_os_entropy_drawn(self, monkeypatch):
         def refuse(*args):
@@ -405,7 +417,48 @@ class TestStreams:
         monkeypatch.setattr(numpy.random.bit_generator, "randbits", refuse)
         with pytest.raises(AssertionError, match="OS entropy drawn"):
             np.random.Philox(key=1)  # the refusal is wired: Philox(key=...) alone draws it
-        assert 0.0 <= bit_stream(3, 1, 4, "re").random() < 1.0
+        assert 0.0 <= bit_stream(3).random() < 1.0
+
+
+class TestOneStreamPerRun:
+    @pytest.mark.parametrize(
+        ("braid", "strands", "k", "seed"),
+        [("1 1 1", 2, 5, 42), ("1 -2 1 -2", 3, 5, 8), ("1 3", 4, 6, 3), ("1 -2 1 3 -2", 4, 6, 17), ("2 -1 2 2", 3, 7, 0)],
+    )
+    def test_raw_trace_matches_scalar_reference(self, braid, strands, k, seed):
+        word = parse_braid_word(braid, strands)
+        config = SamplerConfig(epsilon=0.05, delta=0.05, seed=seed)
+        assert sample_jones_value(word, k, config).raw_trace == reference_raw_trace(word, k, config)
+
+    def test_reference_covers_partly_forced_runs(self):
+        for braid, strands, k in (("1 -2 1 -2", 3, 5), ("1 3", 4, 6)):
+            basis = enumerate_paths(strands, k)
+            gates = build_gates(basis, parse_braid_word(braid, strands))
+            forced = [forced_bracket(complex(a)) is not None for m in basis.nonempty_sectors() for a in gates[m].matrix.diagonal()]
+            assert any(forced) and not all(forced)
+
+    def test_one_stream_and_one_forced_check_per_walk(self, monkeypatch):
+        calls = {"bit_stream": 0, "forced_bracket": 0}
+
+        def counted(name):
+            original = getattr(sampling, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sampling, name, counted(name))
+        sample_jones_value(parse_braid_word("1 -2 1 3 -2", 4), 6, SamplerConfig(seed=1))
+        assert calls == {"bit_stream": 1, "forced_bracket": enumerate_paths(4, 6).total_dim()}
+
+    @pytest.mark.parametrize("seed", [-1, -12345, 2**64, 2**64 + 5, 3**50])
+    def test_any_integer_seed_accepted(self, seed):
+        word = parse_braid_word("1 1 1", 2)
+        res = sample_jones_value(word, 5, SamplerConfig(seed=seed))
+        low = sample_jones_value(word, 5, SamplerConfig(seed=seed & 0xFFFF_FFFF_FFFF_FFFF))
+        assert res.seed == seed and res.raw_trace == low.raw_trace
 
 
 class TestCircuitCheck:
