@@ -16,7 +16,6 @@ from .braids import (
     BraidWord,
     closure_component_count,
     format_braid_word,
-    free_reduce,
     inverse,
     markov_conjugate,
     markov_stabilize,
@@ -90,7 +89,6 @@ __all__ = [
     "enumerate_paths",
     "estimate_bracket",
     "format_braid_word",
-    "free_reduce",
     "global_gate",
     "hadamard_circuit_check",
     "inverse",

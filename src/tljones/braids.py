@@ -129,17 +129,6 @@ def inverse(word: BraidWord) -> BraidWord:
     return BraidWord(word.strands, tuple((i, -s) for i, s in reversed(word.letters)))
 
 
-def free_reduce(word: BraidWord) -> BraidWord:
-    """Delete adjacent b_i^{+1} b_i^{-1} pairs until none remain."""
-    stack: list[tuple[int, int]] = []
-    for letter in word.letters:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return BraidWord(word.strands, tuple(stack))
-
-
 def markov_conjugate(word: BraidWord, conjugator: BraidWord) -> BraidWord:
     """The conjugate a w a^-1; its closure has the same link type as w's."""
     return product(product(conjugator, word), inverse(conjugator))

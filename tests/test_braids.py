@@ -8,7 +8,6 @@ from tljones.braids import (
     BraidWord,
     closure_component_count,
     format_braid_word,
-    free_reduce,
     inverse,
     markov_conjugate,
     markov_stabilize,
@@ -18,6 +17,17 @@ from tljones.braids import (
     strand_permutation,
     writhe,
 )
+
+
+def free_reduce(word: BraidWord) -> BraidWord:
+    """Delete adjacent b_i^{+1} b_i^{-1} pairs until none remain (test helper)."""
+    stack: list[tuple[int, int]] = []
+    for letter in word.letters:
+        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return BraidWord(word.strands, tuple(stack))
 
 
 class TestParse:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ class TestPaths:
         assert data == {"n": 3, "k": 5, "dims": {"2": 2, "4": 1}, "total": 3}
 
     def test_counts_without_enumerating(self, capsys, monkeypatch):
-        monkeypatch.setattr(tljones.pathmodel, "path_endpoint", None)  # grouping walks into sectors would fail
+        monkeypatch.setattr(tljones.pathmodel, "_walk_tables", None)  # building any walk would fail
         status, out, err = run_cli(capsys, "paths", "--n", "40", "--k", "12")
         assert status == 0 and err == ""
         assert json.loads(out)["total"] == 91586476950
@@ -39,9 +40,36 @@ class TestPaths:
         assert json.loads(out)["dims"] == {"2": 2, "4": 1}
 
 
+# Outputs frozen while lambda was stored for every height 0..k, which took 2.7 s and 488 MB on
+# the first and 1.3 s and 259 MB on the second (2-vCPU VM).
+FROZEN_LARGE_INPUTS = [
+    (
+        ["evaluate", "--braid", "1", "--strands", "2", "--k", "10000000"],
+        '{"a_value": [1.5707963267948903e-07, 0.9999999999999877], "d": 1.9999999999999014, "k": 10000000, "method": "exact-path-model", "n": 2, "normalization": 1.2566370614357724e-06, "prefactor": [4.712388980384516e-07, 0.9999999999998891], "prefactor_rule": "(-A^3)^writhe", "value": [0.9999999999999997, 3.1763735522036263e-22], "weighted_trace": [2.3561944901923744e-07, -0.4999999999999689], "word": [1], "writhe": 1}\n',
+    ),
+    (
+        ["sample", "--braid", "1 1 1", "--strands", "2", "--k", "5000000"],
+        '{"a_value": [3.1415926535897413e-07, 0.9999999999999507], "abs_error": 0.135137962568469, "d": 1.9999999999996052, "delta": 0.05, "epsilon": 0.1, "error_confidence": 0.95, "exact_value": [1.000000000004738, -1.1908012688974581e-17], "iterations": 185, "k": 5000000, "method": "sampled", "n": 2, "normalization": 2.513274122870677e-06, "prefactor": [-2.8274333882270474e-06, -0.9999999999960032], "prefactor_rule": "(-A^3)^writhe", "raw_trace": [1.698158191128487e-07, 1.2566370614348422e-06], "seed": 0, "value": [0.9999996179098177, -0.13513796256792882], "value_error_bound": 0.48668912518859087, "weighted_trace": [0.0675675675675537, 0.4999999999998025], "word": [1, 1, 1], "writhe": 3}\n',
+    ),
+    (  # k = 3 admits one walk at any n, so the gate bound never refuses it
+        ["evaluate", "--braid", "1 -2 3", "--strands", "100", "--k", "3"],
+        '{"a_value": [0.49999999999999994, 0.8660254037844387], "d": 1.0000000000000002, "k": 3, "method": "exact-path-model", "n": 100, "normalization": 0.8660254037844386, "prefactor": [1.0, 2.7755575615628914e-16], "prefactor_rule": "(-A^3)^writhe", "value": [1.0000000000000215, 8.326672684688855e-16], "weighted_trace": [0.9999999999999997, 5.551115123125782e-16], "word": [1, -2, 3], "writhe": 1}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(("argv", "expected"), FROZEN_LARGE_INPUTS, ids=["evaluate-k1e7", "sample-k5e6", "evaluate-n100-k3"])
+def test_large_k_and_n_print_frozen_bytes_quickly(capsys, argv, expected):
+    # lambda is stored only up to height n + 2, so a huge k costs no more than k = n + 2
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out, err) == (0, expected, "")
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("command", ["evaluate", "sample"])
 def test_oversized_model_refused_before_enumeration(capsys, monkeypatch, command):
-    monkeypatch.setattr(tljones.pathmodel, "path_endpoint", None)  # grouping walks into sectors would fail
+    monkeypatch.setattr(tljones.pathmodel, "_walk_tables", None)  # building any walk would fail
     status, out, err = run_cli(capsys, command, "--braid", "1", "--strands", "18", "--k", "8")
     assert status == 2 and out == ""
     assert err.startswith("error: n=18, k=8: ") and "MAX_GATE_BYTES" in err and len(err.splitlines()) == 1

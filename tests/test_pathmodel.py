@@ -18,7 +18,6 @@ from tljones.pathmodel import (
     count_walks,
     enumerate_paths,
     global_gate,
-    path_endpoint,
     phi_generator,
     sector_products,
 )
@@ -41,17 +40,56 @@ def brute_force_paths(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def walk_endpoint(bits: tuple[int, ...]) -> int:
+    """Endpoint of a walk starting at vertex 1 (bit 1 = right, bit 0 = left)."""
+    return 1 + sum(2 * b - 1 for b in bits)
+
+
+def walks_as_tuples(basis, m: int) -> tuple[tuple[int, ...], ...]:
+    """The walks of sector m as bit tuples, in basis order."""
+    return tuple(tuple(int(b) for b in row) for row in basis.sectors[m])
+
+
+def reference_basis(n: int, k: int):
+    """Sectors of tuple walks and per-letter tables, built walk by walk (test reference).
+
+    Admissible prefixes grow one bit at a time, walks are sorted and grouped
+    by endpoint, and each table entry is written from the walk's bits with the
+    same float operations as enumerate_paths.
+    """
+    lam = tljones.pathmodel.ModelParams.create(k, n).lam
+    prefixes = [((), 1)]
+    for _ in range(n):
+        prefixes = [(bits + (b,), end + 2 * b - 1) for bits, end in prefixes for b in (0, 1) if 1 <= end + 2 * b - 1 <= k - 1]
+    sectors: dict[int, list[tuple[int, ...]]] = {}
+    for bits in sorted(bits for bits, _ in prefixes):
+        sectors.setdefault(walk_endpoint(bits), []).append(bits)
+    tables = {(i, m): (np.zeros(len(ws)), np.zeros(len(ws)), np.arange(len(ws))) for m, ws in sectors.items() for i in range(1, n)}
+    for m, walks in sectors.items():
+        index = {bits: c for c, bits in enumerate(walks)}
+        for c, bits in enumerate(walks):
+            e = 1  # endpoint of the first i-1 bits
+            for i, (b1, b2) in enumerate(zip(bits, bits[1:]), 1):
+                if b1 != b2:
+                    diag, off, partner = tables[i, m]
+                    diag[c] = (lam[e - 1] if b1 == 0 else lam[e + 1]) / lam[e]
+                    off[c] = math.sqrt(lam[e - 1] * lam[e + 1]) / lam[e]
+                    partner[c] = index.get(bits[: i - 1] + (b2, b1) + bits[i + 1 :], c)
+                e += 2 * b1 - 1
+    return {m: tuple(ws) for m, ws in sectors.items()}, tables
+
+
 def reference_phi_block(basis, i: int, m: int) -> np.ndarray:
     """Dense Phi_i on sector m built column by column from the walks (test oracle)."""
     lam = basis.params.lam
-    paths = basis.sectors[m]
+    paths = walks_as_tuples(basis, m)
     index = {bits: c for c, bits in enumerate(paths)}
     block = np.zeros((len(paths), len(paths)))
     for col, bits in enumerate(paths):
         b1, b2 = bits[i - 1], bits[i]
         if b1 == b2:
             continue
-        e = path_endpoint(bits[: i - 1])
+        e = walk_endpoint(bits[: i - 1])
         cross = math.sqrt(lam[e - 1] * lam[e + 1]) / lam[e]
         block[col, col] = (lam[e - 1] if (b1, b2) == (0, 1) else lam[e + 1]) / lam[e]
         if cross != 0.0:
@@ -70,32 +108,35 @@ def reference_gate(basis, i: int, exponent: int, m: int) -> np.ndarray:
 class TestEnumeration:
     def test_single_step(self):
         basis = enumerate_paths(1, 5)
-        assert basis.paths == ((1,),)
+        assert walks_as_tuples(basis, 2) == ((1,),)
         assert basis.sector_dims() == {2: 1}
 
     def test_n2_k3(self):
         basis = enumerate_paths(2, 3)
-        assert basis.paths == ((1, 0),)
+        assert walks_as_tuples(basis, 1) == ((1, 0),)
         assert basis.sector_dims() == {1: 1}
 
     def test_n3_k5(self):
         basis = enumerate_paths(3, 5)
-        assert basis.sectors[2] == ((1, 0, 1), (1, 1, 0))
-        assert basis.sectors[4] == ((1, 1, 1),)
+        assert walks_as_tuples(basis, 2) == ((1, 0, 1), (1, 1, 0))
+        assert walks_as_tuples(basis, 4) == ((1, 1, 1),)
         assert basis.total_dim() == 3
 
     @pytest.mark.parametrize("k", [3, 4, 5, 8])
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 12, 16])
     def test_matches_brute_force(self, n, k):
         basis = enumerate_paths(n, k)
-        assert list(basis.paths) == brute_force_paths(n, k)
+        walks = [w for m in basis.nonempty_sectors() for w in walks_as_tuples(basis, m)]
+        assert sorted(walks) == brute_force_paths(n, k)
 
     def test_sector_partition(self):
         basis = enumerate_paths(6, 6)
         total = sum(basis.sector_dims().values())
         assert total == basis.total_dim()
-        for m, paths in basis.sectors.items():
-            assert all(path_endpoint(p) == m for p in paths)
+        for m, walks in basis.sectors.items():
+            assert walks.dtype == bool and walks.shape == (basis.sector_dims()[m], 6)
+            paths = walks_as_tuples(basis, m)
+            assert all(walk_endpoint(p) == m for p in paths)
             assert list(paths) == sorted(paths)
 
     def test_k2_rejected(self):
@@ -123,7 +164,7 @@ class TestEnumeration:
             return sum(16 * dim**2 for dim in count_walks(n, k).values())
 
         assert gate_bytes(16, 12) <= MAX_GATE_BYTES < gate_bytes(18, 8)
-        monkeypatch.setattr(tljones.pathmodel, "path_endpoint", None)  # grouping walks into sectors would fail
+        monkeypatch.setattr(tljones.pathmodel, "_walk_tables", None)  # building any walk would fail
         with pytest.raises(PathModelError, match=r"n=18, k=8: .* 4656926720 bytes"):
             enumerate_paths(18, 8)
 
@@ -155,9 +196,20 @@ class TestParameters:
         assert len(candidate_phases(5)) == 8
 
     def test_sentinels(self):
+        # lambda is stored for heights 0..min(k, n + 2): a walk of length n never reaches n + 2
         params = ModelParams.create(7, 2)
-        assert params.lam[0] == 0.0 and params.lam[7] == 0.0
-        assert all(params.lam[ell] > 0 for ell in range(1, 7))
+        assert len(params.lam) == 5 and params.lam[0] == 0.0
+        assert all(params.lam[ell] > 0 for ell in range(1, 5))
+        for n in (5, 6, 40):  # k <= n + 2: the wall lambda_k = 0 is stored
+            params = ModelParams.create(7, n)
+            assert len(params.lam) == 8 and params.lam[0] == 0.0 and params.lam[7] == 0.0
+            assert all(params.lam[ell] > 0 for ell in range(1, 7))
+
+    @pytest.mark.parametrize(("k", "n"), [(3, 1), (7, 2), (7, 5), (12, 3), (10**9, 2)])
+    def test_lambda_values(self, k, n):
+        lam = ModelParams.create(k, n).lam
+        assert len(lam) == min(k, n + 2) + 1
+        assert lam[1:k] == tuple(math.sin(math.pi * ell / k) for ell in range(1, min(k, n + 3)))
 
     def test_bad_phase_rejected(self):
         with pytest.raises(PathModelError, match="violates"):
@@ -378,3 +430,64 @@ class TestInPlaceLetterUpdate:
             assert np.array_equal(global_gate(basis, word, m).matrix, allocating_word_product(basis, m, gate_letters, complex))
             assert np.array_equal(products[m], allocating_word_product(basis, m, [(i, 1.0, 0.0) for i in indices], float))
         assert fixed_columns > 0  # columns whose partner is themselves (partner[c] == c) are covered
+
+
+def assert_tables_equal_reference(n: int, k: int) -> None:
+    basis = enumerate_paths(n, k)
+    ref_sectors, ref_tables = reference_basis(n, k)
+    assert {m: walks_as_tuples(basis, m) for m in basis.sectors} == ref_sectors
+    assert basis.tables.keys() == ref_tables.keys()
+    for key, ref in ref_tables.items():
+        for got, want in zip(basis.tables[key], ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, k, key)
+
+
+def completions(n: int, k: int, start: int, steps: int, end: int) -> int:
+    """Walks of the given steps from height start to end inside [1, k-1], by brute force (test oracle)."""
+    count = 0
+    for mask in range(1 << steps):
+        h = start
+        for j in range(steps):
+            h += 1 if (mask >> j) & 1 else -1
+            if not 1 <= h <= k - 1:
+                break
+        else:
+            count += h == end
+    return count
+
+
+class TestVectorisedBuilder:
+    """Every table of the vectorised builder equals the walk-by-walk reference, bit for bit."""
+
+    @pytest.mark.parametrize("k", range(3, 11))
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_tables_match_reference(self, n, k):
+        assert_tables_equal_reference(n, k)
+
+    def test_tables_match_reference_at_14_10(self):
+        assert_tables_equal_reference(14, 10)
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 100])
+    def test_k3_single_walk_past_int64_codes(self, n):
+        # k = 3 admits one walk at any n (MAX_GATE_BYTES never refuses it), so no bit may be lost past 63 steps
+        basis = enumerate_paths(n, 3)
+        assert basis.total_dim() == 1
+        assert walks_as_tuples(basis, 1 + n % 2) == (tuple(1 - j % 2 for j in range(n)),)
+        assert_tables_equal_reference(n, 3)
+
+    @pytest.mark.parametrize(("n", "k"), [(4, 4), (6, 5), (7, 6), (8, 9)])
+    def test_partner_offset_is_a_completion_count(self, n, k):
+        # when off[c] != 0, the swapped walk sits C walks away, C being the completions from the
+        # pair's height e in n-i-1 steps to m: after walk c (bits 01) or before it (bits 10)
+        basis = enumerate_paths(n, k)
+        checked = 0
+        for (i, m), (_, off, partner) in basis.tables.items():
+            for c, bits in enumerate(walks_as_tuples(basis, m)):
+                if off[c] != 0.0:
+                    e = walk_endpoint(bits[: i - 1])
+                    sign = 1 if bits[i - 1] == 0 else -1
+                    assert partner[c] - c == sign * completions(n, k, e, n - i - 1, m)
+                    checked += 1
+                else:
+                    assert partner[c] == c
+        assert checked > 0
