@@ -5,6 +5,9 @@ identity behind the construction, the exact symmetry and relation residuals
 of the generator images, and the unitarity of the braid-letter gates.
 """
 
+import cmath
+import math
+
 import numpy as np
 
 from tljones import (
@@ -14,7 +17,6 @@ from tljones import (
     enumerate_paths,
     phi_generator,
 )
-from tljones.pathmodel import candidate_phases
 
 print("=== Walk bases and sectors ===")
 for n, k in ((1, 5), (2, 3), (3, 5), (6, 6), (8, 8)):
@@ -34,7 +36,7 @@ for k in (3, 4, 5, 10):
     d = -a**2 - 1 / a**2
     t = a**-4
     print(f"  k={k:2d}: A = {a:.6f},  -A^2-A^-2 = {d.real:+.6f},  t = A^-4 = {t:.6f}")
-bare = candidate_phases(5)[0]
+bare = cmath.exp(-1j * math.pi / 10)  # e^(-i pi / 2k) at k=5
 print(f"  bare phase at k=5 gives -A^2-A^-2 = {(-bare**2 - 1/bare**2).real:+.6f} (wrong sign, rejected)")
 
 print()

@@ -123,16 +123,14 @@ def build_gates(basis: PathBasis, word: BraidWord) -> dict[int, SectorOperator]:
     return {m: global_gate(basis, word, m) for m in basis.nonempty_sectors()}
 
 
-def jones_value_exact(
-    word: BraidWord, k: int, a_value: complex | None = None
-) -> EvaluationResult:
+def jones_value_exact(word: BraidWord, k: int) -> EvaluationResult:
     """Exact Jones value of the braid's closure at t = e^(2 pi i / k).
 
     Builds the walk basis for the braid's strand count, the per-sector gates,
     and the weighted trace; agrees with the symbolic oracle evaluated at the
     same phase to floating-point accuracy.
     """
-    basis = enumerate_paths(word.strands, k, a_value)
+    basis = enumerate_paths(word.strands, k)
     gates = build_gates(basis, word)
     return evaluation_result(basis, word, weighted_trace(basis, gates), "exact-path-model")
 

@@ -6,7 +6,8 @@ bit string: bit 1 steps right, bit 0 steps left, and every prefix endpoint
 must stay inside [1, k-1]. Walks are grouped into sectors by their endpoint
 m; every operator built here preserves sectors. Column c of Phi_i is diag[c]
 at row c plus off[c] at row partner[c], one table per (i, sector), so a letter
-updates a product column by column in O(dim^2), in place (see _word_product).
+updates a product column by column in O(dim^2), in place. _word_product is the
+only place an operator is formed: a single Phi_i or gate is a one-letter word.
 
 enumerate_paths builds every walk and table in one NumPy pass: completion counts
 unrank all walks at once, step by step, and partner[c] = c +- (completions from
@@ -31,8 +32,8 @@ Phi^2 = d Phi exactly, which is what the braid-letter gates
     exponent +1: A Phi_i + A^-1 I        exponent -1: A^-1 Phi_i + A I
 
 need in order to be unitary. The phase A must satisfy -A^2 - A^-2 = d; the
-bare phase e^(-i pi / 2k) gives -d instead, so choose_a multiplies it by i,
-which also pins the evaluation point t = A^-4 = e^(2 pi i / k).
+bare phase e^(-i pi / 2k) gives -d instead, so choose_a returns the closed form
+A = i e^(-i pi / 2k), which also pins the evaluation point t = A^-4 = e^(2 pi i / k).
 """
 
 from __future__ import annotations
@@ -51,25 +52,11 @@ class PathModelError(ValueError):
     """Invalid path-model parameters or operation."""
 
 
-def candidate_phases(k: int) -> tuple[complex, ...]:
-    """The eight unit phases (+-1, +-i) * e^(+-i pi / 2k) screened by choose_a."""
-    base = cmath.exp(-1j * math.pi / (2 * k))
-    return tuple(u * p for u in (1, -1, 1j, -1j) for p in (base, base.conjugate()))
-
-
 def choose_a(k: int) -> complex:
-    """The unit-modulus phase A with -A^2 - A^-2 = 2 cos(pi/k) and A^-4 = e^(2 pi i/k)."""
+    """A = i e^(-i pi / 2k): unit modulus, -A^2 - A^-2 = 2 cos(pi/k) and A^-4 = e^(2 pi i/k)."""
     if k < 3:
         raise PathModelError(f"k must be >= 3, got {k}")
-    d = 2.0 * math.cos(math.pi / k)
-    t_target = cmath.exp(2j * math.pi / k)
-    best = None
-    for cand in candidate_phases(k):
-        if abs(-cand**2 - 1 / cand**2 - d) < 1e-12 and abs(cand**-4 - t_target) < 1e-12:
-            best = cand
-            break
-    assert best is not None, "no admissible phase; impossible for k >= 3"
-    return best
+    return 1j * cmath.exp(-1j * math.pi / (2 * k))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,23 +70,15 @@ class ModelParams:
     lam: tuple[float, ...]  # lam[l] for l in 0..min(k, n+2) (no walk reaches n+2); sentinels lam[0] = 0, lam[k] = 0 if k <= n+2
 
     @classmethod
-    def create(cls, k: int, n: int, a_value: complex | None = None) -> ModelParams:
+    def create(cls, k: int, n: int) -> ModelParams:
         if k < 3:
             raise PathModelError(f"k must be >= 3, got {k}")
         if n < 1:
             raise PathModelError(f"n must be >= 1, got {n}")
-        d = 2.0 * math.cos(math.pi / k)
-        a = choose_a(k) if a_value is None else a_value
         lam = [0.0] + [math.sin(math.pi * ell / k) for ell in range(1, min(k, n + 3))]
         if k <= n + 2:
             lam.append(0.0)
-        params = cls(k, n, d, a, tuple(lam))
-        residual = abs(-a**2 - 1 / a**2 - d)
-        if residual > 1e-12:
-            raise PathModelError(
-                f"phase {a} violates -A^2 - A^-2 = d by {residual:.3e}"
-            )
-        return params
+        return cls(k, n, 2.0 * math.cos(math.pi / k), choose_a(k), tuple(lam))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,9 +129,9 @@ def count_walks(n: int, k: int) -> dict[int, int]:
 MAX_GATE_BYTES = 2 << 30
 
 
-def enumerate_paths(n: int, k: int, a_value: complex | None = None) -> PathBasis:
+def enumerate_paths(n: int, k: int) -> PathBasis:
     """All admissible walks of length n by endpoint sector with their letter tables; an oversized model is refused first."""
-    params = ModelParams.create(k, n, a_value)
+    params = ModelParams.create(k, n)
     dims = count_walks(n, k)
     gate_bytes = sum(16 * dim**2 for dim in dims.values())
     if gate_bytes > MAX_GATE_BYTES:
@@ -228,18 +207,6 @@ class SectorOperator:
         return self.matrix.shape[0]
 
 
-def _phi_block(basis: PathBasis, i: int, m: int, x: complex = 1.0, y: complex = 0.0) -> np.ndarray:
-    """Dense x Phi_i + y I on sector m, Phi_i acting on bits (i, i+1); Phi_i is exactly symmetric."""
-    if not 1 <= i <= basis.n - 1:
-        raise PathModelError(f"generator index {i} out of range [1, {basis.n - 1}]")
-    diag, off, partner = basis.tables[i, m]
-    cols = np.arange(len(diag))
-    block = np.zeros((len(diag), len(diag)), dtype=np.result_type(x, y))
-    block[partner, cols] = x * off
-    block[cols, cols] = x * diag + y  # after off: a column without partner has partner[c] = c
-    return block
-
-
 def _word_product(basis: PathBasis, m: int, letters, dtype) -> np.ndarray:
     """Product of x Phi_i + y I over (i, x, y) in letters on sector m: acc * (x diag + y) + acc[:, partner] * (x off), in place."""
     acc = np.eye(len(basis.sectors[m]), dtype=dtype)
@@ -254,18 +221,13 @@ def _word_product(basis: PathBasis, m: int, letters, dtype) -> np.ndarray:
 
 
 def phi_generator(basis: PathBasis, i: int) -> list[SectorOperator]:
-    """The i-th generator image, one real-symmetric block per nonempty sector."""
-    return [SectorOperator(m, _phi_block(basis, i, m)) for m in basis.nonempty_sectors()]
+    """The i-th generator image, one real-symmetric block per nonempty sector: the one-letter generator word."""
+    return [SectorOperator(m, block) for m, block in sector_products(basis, [i]).items()]
 
 
 def braid_gen_unitary(basis: PathBasis, i: int, exponent: int, m: int) -> SectorOperator:
-    """Gate for one braid letter on sector m: A Phi + A^-1 I (or the conjugate mix)."""
-    if m not in basis.sectors:
-        raise PathModelError(f"sector {m} is empty at n={basis.n}, k={basis.k}")
-    if exponent not in (1, -1):
-        raise PathModelError(f"exponent must be +1 or -1, got {exponent}")
-    a = basis.params.a_value
-    return SectorOperator(m, _phi_block(basis, i, m, *((a, 1 / a) if exponent == 1 else (1 / a, a))))
+    """Gate for one braid letter on sector m: the one-letter braid word."""
+    return _braid_product(basis, BraidWord(basis.n, ((i, exponent),)), m)
 
 
 def global_gate(basis: PathBasis, word: BraidWord, m: int) -> SectorOperator:
@@ -274,6 +236,11 @@ def global_gate(basis: PathBasis, word: BraidWord, m: int) -> SectorOperator:
         raise PathModelError(
             f"braid on {word.strands} strands does not act on walks of length {basis.n}"
         )
+    return _braid_product(basis, word, m)
+
+
+def _braid_product(basis: PathBasis, word: BraidWord, m: int) -> SectorOperator:
+    """The word's letters as gates on sector m: b_i is A Phi_i + A^-1 I, b_i^-1 is A^-1 Phi_i + A I."""
     if m not in basis.sectors:
         raise PathModelError(f"sector {m} is empty at n={basis.n}, k={basis.k}")
     a = basis.params.a_value
