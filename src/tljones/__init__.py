@@ -15,7 +15,6 @@ from .braids import (
     BraidParseError,
     BraidWord,
     closure_component_count,
-    format_braid_word,
     inverse,
     markov_conjugate,
     markov_stabilize,
@@ -53,7 +52,6 @@ from .tl import (
     TLError,
     TraceValue,
     jones_polynomial,
-    jones_polynomial_t,
     jones_rep,
     markov_trace,
     verify_tl_relations,
@@ -88,13 +86,11 @@ __all__ = [
     "convert_to_t",
     "enumerate_paths",
     "estimate_bracket",
-    "format_braid_word",
     "global_gate",
     "hadamard_circuit_check",
     "inverse",
     "iterations_for",
     "jones_polynomial",
-    "jones_polynomial_t",
     "jones_rep",
     "jones_value_exact",
     "markov_conjugate",

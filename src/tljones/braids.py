@@ -105,11 +105,6 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def format_braid_word(word: BraidWord) -> str:
-    """Canonical serializer; parse_braid_word is its left inverse."""
-    return " ".join(str(v) for v in word.signed_indices())
-
-
 def writhe(word: BraidWord) -> int:
     """Sum of the exponents of the word (the crossing-sign count)."""
     return sum(sign for _, sign in word.letters)

@@ -184,16 +184,16 @@ def check_representation(
 
 def check_trace_compatibility(
     samples: int = 100, seed: int = 0, tol: Tolerances | None = None,
-    n_max: int = 5, word_max: int = 10, k_range: tuple[int, int] = (3, 8),
+    k_range: tuple[int, int] = (3, 8),
 ) -> CheckReport:
-    """|weighted trace of a generator word - symbolic trace at the phase|."""
+    """|weighted trace of a generator word - symbolic trace at the phase|, on n <= 5 strands and up to 10 letters."""
     tol = tol or resolve_tolerances()
     rng = random.Random(seed)
     rec = _Recorder()
     for _ in range(samples):
-        n = rng.randint(2, n_max)
+        n = rng.randint(2, 5)
         k = rng.randint(*k_range)
-        length = rng.randint(0, word_max)
+        length = rng.randint(0, 10)
         indices = [rng.randint(1, n - 1) for _ in range(length)]
         basis = enumerate_paths(n, k)
         numeric = markov_trace_pathmodel(basis, indices)
@@ -213,14 +213,13 @@ def standard_braid_suite() -> dict[str, BraidWord]:
 
 
 def check_oracle_equivalence(
-    random_count: int = 20, seed: int = 0, tol: Tolerances | None = None,
-    k_range: tuple[int, int] = (3, 10),
+    seed: int = 0, tol: Tolerances | None = None, k_range: tuple[int, int] = (3, 10),
 ) -> CheckReport:
-    """Path-model value vs the symbolic polynomial at the same phase, all k."""
+    """Path-model value vs the symbolic polynomial at the same phase, all k, on the standard braids and 20 random ones."""
     tol = tol or resolve_tolerances()
     rng = random.Random(seed)
     words = list(standard_braid_suite().values())
-    words += [braids.random_braid(rng, max_strands=4, max_length=8) for _ in range(random_count)]
+    words += [braids.random_braid(rng, max_strands=4, max_length=8) for _ in range(20)]
     rec = _Recorder()
     for word in words:
         poly = tl.jones_polynomial(word)
@@ -274,6 +273,6 @@ def run_verification(
         check_trace_axioms(n_max=min(n_max, 6), samples=min(samples, 50), seed=seed),
         check_representation(n_max=n_max, k_max=k_max, tol=tol),
         check_trace_compatibility(samples=samples, seed=seed, tol=tol, k_range=(3, k_max)),
-        check_oracle_equivalence(random_count=20, seed=seed, tol=tol, k_range=(3, max(k_max, 3))),
+        check_oracle_equivalence(seed=seed, tol=tol, k_range=(3, max(k_max, 3))),
         check_knot_sanity(samples=samples, seed=seed, tol=tol, k_range=(3, max(k_max, 3))),
     ]

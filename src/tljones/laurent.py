@@ -86,18 +86,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> LaurentPoly:
-        if exponent < 0:
-            raise ValueError("negative powers are defined only for monomials; invert explicitly")
-        result, base = LaurentPoly.one(), self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:  # the base is squared only while a higher bit remains
-                base = base * base
-        return result
-
     def substitute_inverse(self) -> LaurentPoly:
         """The image under x -> x^-1 (mirror of all exponents)."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})

@@ -235,19 +235,23 @@ class CircuitCheckReport:
             abs(self.im_prob0_circuit - self.im_prob0_formula),
         )
 
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_deviation <= tol
+    def passed(self) -> bool:
+        return self.max_deviation <= 1e-12
 
 
-def hadamard_circuit_check(u: SectorOperator, p: int, max_dim: int = 64) -> CircuitCheckReport:
+# Largest gate hadamard_circuit_check simulates: the statevector holds 2 x dim amplitudes.
+CIRCUIT_CHECK_MAX_DIM = 64
+
+
+def hadamard_circuit_check(u: SectorOperator, p: int) -> CircuitCheckReport:
     """Simulate the full ancilla circuit and compare against the bit laws.
 
     Statevector layout |ancilla> tensor |walk>; the imaginary variant inserts
     the ancilla phase gate diag(1, i) after the first Hadamard.
     """
     dim = u.dim
-    if dim > max_dim:
-        raise SamplerError(f"dimension {dim} exceeds circuit-check limit {max_dim}")
+    if dim > CIRCUIT_CHECK_MAX_DIM:
+        raise SamplerError(f"dimension {dim} exceeds circuit-check limit {CIRCUIT_CHECK_MAX_DIM}")
     if not 0 <= p < dim:
         raise SamplerError(f"basis index {p} out of range for dimension {dim}")
     a = complex(u.matrix[p, p])

@@ -35,7 +35,7 @@ import math
 from typing import Iterable, Mapping
 
 from .braids import BraidWord, writhe
-from .laurent import LaurentPoly, convert_to_t
+from .laurent import LaurentPoly
 
 # Loop weight d = -A^2 - A^-2 as an exact polynomial in A.
 LOOP_WEIGHT = LaurentPoly({2: -1, -2: -1})
@@ -390,11 +390,6 @@ def jones_polynomial(word: BraidWord) -> LaurentPoly:
     if scaled.d_power != 0:
         raise AssertionError(f"d^-{scaled.d_power} failed to cancel against d^{word.strands - 1}")
     return scaled.as_laurent() * writhe_prefactor(writhe(word))
-
-
-def jones_polynomial_t(word: BraidWord) -> LaurentPoly:
-    """The Jones polynomial in the variable t = A^-4; raises for half-integer powers."""
-    return convert_to_t(jones_polynomial(word))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,7 +2,9 @@
 worst residual and writes one detail line per failure."""
 
 import dataclasses
+import inspect
 import math
+import pathlib
 import re
 import types
 
@@ -158,3 +160,18 @@ def test_public_names_are_exactly_the_bound_names():
     for name in tljones.__all__:
         assert getattr(tljones, name) is not None
 
+
+def test_every_public_function_has_a_user():
+    # a function the package exports is named by another src/ module, a demo or the README
+    root = pathlib.Path(__file__).resolve().parents[1]
+    unused = []
+    for name in tljones.__all__:
+        function = getattr(tljones, name)
+        if not inspect.isfunction(function):
+            continue
+        home = pathlib.Path(inspect.getfile(function)).name
+        sources = [p for p in (root / "src" / "tljones").glob("*.py") if p.name not in (home, "__init__.py")]
+        sources += [*(root / "demos").glob("*.py"), root / "README.md"]
+        if not any(re.search(rf"\b{name}\b", p.read_text()) for p in sources):
+            unused.append(name)
+    assert unused == []

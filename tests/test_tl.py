@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import bruteforce_jones_a
 from tljones.braids import BraidWord, inverse, markov_conjugate, markov_stabilize, parse_braid_word, product, random_braid
-from tljones.laurent import ExactDivisionError, LaurentPoly
+from tljones.laurent import ExactDivisionError, LaurentPoly, convert_to_t
 from tljones.tl import (
     LOOP_WEIGHT,
     PlanarMatching,
@@ -22,7 +22,6 @@ from tljones.tl import (
     embed,
     generator_word,
     jones_polynomial,
-    jones_polynomial_t,
     jones_rep,
     markov_trace,
     random_generator_word,
@@ -49,6 +48,16 @@ WORDS = {
     "trefoil": ("1 1 1", 2),
     "figure_eight": ("1 -2 1 -2", 3),
 }
+
+
+def d_to(j: int) -> LaurentPoly:
+    """d^j for j >= 0 as j plain products (the reference for times_d)."""
+    return math.prod([LOOP_WEIGHT] * j, start=LaurentPoly.one())
+
+
+def jones_t(word: BraidWord) -> LaurentPoly:
+    """The Jones polynomial in t = A^-4."""
+    return convert_to_t(jones_polynomial(word))
 
 
 def catalan(n: int) -> int:
@@ -349,17 +358,17 @@ class TestJonesPolynomial:
         assert dict(poly.coeffs) == GOLDEN_A[name]
 
     def test_trefoil_t_form(self):
-        poly = jones_polynomial_t(parse_braid_word("1 1 1", 2))
+        poly = jones_t(parse_braid_word("1 1 1", 2))
         assert dict(poly.coeffs) == GOLDEN_T["trefoil"]
 
     def test_figure_eight_palindromic(self):
-        poly = jones_polynomial_t(parse_braid_word("1 -2 1 -2", 3))
+        poly = jones_t(parse_braid_word("1 -2 1 -2", 3))
         assert dict(poly.coeffs) == GOLDEN_T["figure_eight"]
         assert poly.substitute_inverse() == poly
 
     def test_hopf_has_no_integer_t_form(self):
         with pytest.raises(ValueError, match="divisible by 4"):
-            jones_polynomial_t(parse_braid_word("1 1", 2))
+            jones_t(parse_braid_word("1 1", 2))
 
     def test_matches_bruteforce_random(self):
         rng = random.Random(6)
@@ -423,12 +432,12 @@ def braid_words(draw, max_strands=8, max_length=10):
 
 
 def reference_product(x: TLElement, y: TLElement) -> TLElement:
-    """General bilinear stacking with LOOP_WEIGHT**loops per term (the earlier product)."""
+    """General bilinear stacking with d^loops per term (the earlier product)."""
     out: dict = {}
     for mu, cu in x.terms.items():
         for ml, cl in y.terms.items():
             matching, loops = stack_matchings(mu, ml)
-            out[matching] = out.get(matching, LaurentPoly.zero()) + cu * cl * LOOP_WEIGHT**loops
+            out[matching] = out.get(matching, LaurentPoly.zero()) + cu * cl * d_to(loops)
     return TLElement(x.n, out)
 
 
@@ -466,7 +475,7 @@ def reference_embed(m: PlanarMatching) -> PlanarMatching:
 def reference_normal_form(numerator: LaurentPoly, d_power: int) -> tuple[LaurentPoly, int]:
     """The earlier TraceValue normalization: long division by d until it raises."""
     if d_power < 0:
-        numerator, d_power = numerator * LOOP_WEIGHT ** (-d_power), 0
+        numerator, d_power = numerator * d_to(-d_power), 0
     while d_power > 0 and not numerator.is_zero():
         try:
             numerator = numerator.div_exact(LOOP_WEIGHT)
@@ -500,19 +509,19 @@ class TestDivisionFreeNormalForm:
     @PROPERTY
     @given(polys, st.integers(0, 6))
     def test_closed_form_powers(self, p, j):
-        assert times_d(p, j) == p * LOOP_WEIGHT**j
+        assert times_d(p, j) == p * d_to(j)
 
     @PROPERTY
     @given(nonzero_polys, st.integers(1, 5))
     def test_divisible_multiples_agree_with_div_exact(self, q, j):
-        p = q * LOOP_WEIGHT**j
+        p = q * d_to(j)
         assert d_divides(p)
-        assert divide_by_d(p) == p.div_exact(LOOP_WEIGHT) == q * LOOP_WEIGHT ** (j - 1)
+        assert divide_by_d(p) == p.div_exact(LOOP_WEIGHT) == q * d_to(j - 1)
 
     @PROPERTY
     @given(polys, st.integers(0, 4), st.integers(-20, 20))
     def test_a_unit_added_is_never_divisible(self, q, j, e):
-        p = q * LOOP_WEIGHT**j + LaurentPoly.monomial(e)
+        p = q * d_to(j) + LaurentPoly.monomial(e)
         assert not d_divides(p)
         with pytest.raises(ExactDivisionError):
             p.div_exact(LOOP_WEIGHT)
@@ -523,18 +532,18 @@ class TestDivisionFreeNormalForm:
     @PROPERTY
     @given(polys, st.integers(0, 4), st.integers(-3, 6))
     def test_trace_value_normal_form(self, q, j, d_power):
-        numerator = q * LOOP_WEIGHT**j
+        numerator = q * d_to(j)
         value = TraceValue(numerator, d_power)
         assert (value.numerator, value.d_power) == reference_normal_form(numerator, d_power)
 
     def test_negative_d_power_multiplies_by_d(self):
         value = TraceValue(LaurentPoly.monomial(3), -2)
-        assert (value.numerator, value.d_power) == (LaurentPoly.monomial(3) * LOOP_WEIGHT**2, 0)
+        assert (value.numerator, value.d_power) == (LaurentPoly.monomial(3) * d_to(2), 0)
 
     def test_div_d_by_a_negative_count_multiplies(self):
         value = TraceValue(LaurentPoly.one(), 1)  # 1/d
         assert value.div_d(-1) == TraceValue(LaurentPoly.one(), 0)
-        assert value.div_d(-3).numerator == LOOP_WEIGHT**2 and value.div_d(-3).d_power == 0
+        assert value.div_d(-3).numerator == d_to(2) and value.div_d(-3).d_power == 0
         assert value.div_d(-3).div_d(3) == value
 
 
