@@ -120,9 +120,9 @@ class LaurentPoly:
         return LaurentPoly(quotient)
 
     def evaluate(self, x: complex) -> complex:
-        """Numeric evaluation at a nonzero complex point."""
+        """Numeric evaluation at a nonzero complex point, summed in ascending exponent order."""
         total = 0j
-        for e, c in self.coeffs.items():
+        for e, c in sorted(self.coeffs.items()):
             total += c * x**e
         return total
 
@@ -163,7 +163,7 @@ def convert_to_t(poly_a: LaurentPoly) -> LaurentPoly:
     components produce half-integer t-powers and are rejected here.
     """
     out: dict[int, int] = {}
-    for e, c in poly_a.coeffs.items():
+    for e, c in sorted(poly_a.coeffs.items()):
         if e % 4 != 0:
             raise ValueError(f"A-exponent {e} is not divisible by 4; no integer t-form exists")
         out[-e // 4] = c

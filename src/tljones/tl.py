@@ -345,8 +345,7 @@ def markov_trace(element: TLElement) -> TraceValue:
         by_loops[loops] = by_loops.get(loops, LaurentPoly.zero()) + coeff
     fewest = min(by_loops, default=0)
     numerator = sum((times_d(c, loops - fewest) for loops, c in by_loops.items()), LaurentPoly.zero())
-    descending = dict(sorted(numerator.coeffs.items(), reverse=True))  # the order a division by d leaves
-    return TraceValue(LaurentPoly(descending), element.n - fewest)
+    return TraceValue(numerator, element.n - fewest)
 
 
 def jones_rep(word: BraidWord) -> TLElement:

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 
 import pytest
@@ -105,6 +107,14 @@ class TestEvaluation:
             expected = sum(c * x**e for e, c in a.coeffs.items())
             assert a.evaluate(x) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("k", range(3, 12))
+    def test_bits_independent_of_insertion_order(self, k):
+        # the figure-eight's polynomial; summed in dict order, 6 of these 9 points differ in the last bits
+        terms = [(-8, 1), (-4, -1), (0, 1), (4, -1), (8, 1)]
+        x = 1j * cmath.exp(-1j * math.pi / (2 * k))
+        up, down = LaurentPoly(dict(terms)).evaluate(x), LaurentPoly(dict(reversed(terms))).evaluate(x)
+        assert (up.real, up.imag) == (down.real, down.imag)
+
 
 class TestVariableChange:
     def test_t_conversion(self):
@@ -115,6 +125,10 @@ class TestVariableChange:
     def test_conversion_rejects_bad_exponent(self):
         with pytest.raises(ValueError, match="divisible by 4"):
             convert_to_t(LaurentPoly({2: -1, 10: -1}))
+
+    def test_conversion_names_the_lowest_bad_exponent(self):
+        with pytest.raises(ValueError, match="A-exponent 2 is"):
+            convert_to_t(LaurentPoly({10: -1, 4: 1, 2: -1}))
 
 
 class TestSerialization:
