@@ -221,7 +221,7 @@ def _word_product(basis: PathBasis, m: int, letters, dtype) -> np.ndarray:
 
 
 def phi_generator(basis: PathBasis, i: int) -> list[SectorOperator]:
-    """The i-th generator image, one real-symmetric block per nonempty sector: the one-letter generator word."""
+    """The i-th generator image as the one-letter generator word: one real-symmetric block per nonempty sector."""
     return [SectorOperator(m, block) for m, block in sector_products(basis, [i]).items()]
 
 
