@@ -55,11 +55,6 @@ def d_to(j: int) -> LaurentPoly:
     return math.prod([LOOP_WEIGHT] * j, start=LaurentPoly.one())
 
 
-def jones_t(word: BraidWord) -> LaurentPoly:
-    """The Jones polynomial in t = A^-4."""
-    return convert_to_t(jones_polynomial(word))
-
-
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
@@ -358,17 +353,17 @@ class TestJonesPolynomial:
         assert dict(poly.coeffs) == GOLDEN_A[name]
 
     def test_trefoil_t_form(self):
-        poly = jones_t(parse_braid_word("1 1 1", 2))
+        poly = convert_to_t(jones_polynomial(parse_braid_word("1 1 1", 2)))
         assert dict(poly.coeffs) == GOLDEN_T["trefoil"]
 
     def test_figure_eight_palindromic(self):
-        poly = jones_t(parse_braid_word("1 -2 1 -2", 3))
+        poly = convert_to_t(jones_polynomial(parse_braid_word("1 -2 1 -2", 3)))
         assert dict(poly.coeffs) == GOLDEN_T["figure_eight"]
         assert poly.substitute_inverse() == poly
 
     def test_hopf_has_no_integer_t_form(self):
         with pytest.raises(ValueError, match="divisible by 4"):
-            jones_t(parse_braid_word("1 1", 2))
+            convert_to_t(jones_polynomial(parse_braid_word("1 1", 2)))
 
     def test_matches_bruteforce_random(self):
         rng = random.Random(6)
