@@ -15,8 +15,8 @@ from tljones import (
     braid_gen_unitary,
     choose_a,
     enumerate_paths,
-    phi_generator,
 )
+from tljones.pathmodel import sector_products
 
 print("=== Walk bases and sectors ===")
 for n, k in ((1, 5), (2, 3), (3, 5), (6, 6), (8, 8)):
@@ -43,7 +43,7 @@ print()
 print("=== Generator images: relations on every sector block ===")
 basis = enumerate_paths(6, 7)
 d = basis.params.d
-phis = {i: {op.m: op.matrix for op in phi_generator(basis, i)} for i in range(1, 6)}
+phis = {i: sector_products(basis, [i]) for i in range(1, 6)}
 worst_sym = worst_idem = worst_rec = worst_comm = 0.0
 for i, blocks in phis.items():
     for m, block in blocks.items():

@@ -22,7 +22,7 @@ from .braids import (
     product,
     writhe,
 )
-from .checks import CheckReport, Tolerances, resolve_tolerances, run_verification
+from .checks import CheckReport, Tolerances, run_verification
 from .evaluation import EvaluationResult, jones_value_exact, markov_trace_pathmodel, weighted_trace
 from .laurent import ExactDivisionError, LaurentPoly, convert_to_t
 from .pathmodel import (
@@ -35,7 +35,6 @@ from .pathmodel import (
     choose_a,
     enumerate_paths,
     global_gate,
-    phi_generator,
 )
 from .sampling import (
     SamplerConfig,
@@ -98,9 +97,7 @@ __all__ = [
     "markov_trace",
     "markov_trace_pathmodel",
     "parse_braid_word",
-    "phi_generator",
     "product",
-    "resolve_tolerances",
     "run_verification",
     "sample_jones_value",
     "verify_tl_relations",

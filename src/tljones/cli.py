@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k", type=int, default=8, help="max k")
     p_verify.add_argument("--samples", type=int, default=50)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--profile", help="tolerance profile (default/strict)")
     p_verify.add_argument(
         "--tol", action="append", default=[],
         metavar="NAME=VALUE", help="override one tolerance field",
@@ -201,16 +200,19 @@ def _run_verify(args: argparse.Namespace) -> int:
     for flag, value, least in (("--n", args.n, 2), ("--k", args.k, 3), ("--samples", args.samples, 1)):
         if value < least:
             raise CliError(f"{flag} must be >= {least}, got {value}")
+    fields = [field.name for field in dataclasses.fields(checks.Tolerances)]
     overrides = {}
     for item in args.tol:
         if "=" not in item:
             raise CliError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
+        if name not in fields:
+            raise CliError(f"unknown tolerance {name!r}; choose from {fields}")
         try:
             overrides[name] = float(value)
         except ValueError:
             raise CliError(f"--tol {item!r}: value is not a number") from None
-    tol = checks.resolve_tolerances(args.profile, **overrides)  # ValueError exits 2 in main
+    tol = checks.Tolerances(**overrides)  # a non-finite or negative value is a ValueError: exit 2 in main
     reports = checks.run_verification(
         n_max=args.n, k_max=args.k, samples=args.samples, seed=args.seed, tol=tol
     )

@@ -11,9 +11,7 @@ only place an operator is formed: a single Phi_i or gate is a one-letter word.
 
 enumerate_paths builds every walk and table in one NumPy pass: completion counts
 unrank all walks at once, step by step, and partner[c] = c +- (completions from
-the pair's height), so no walk is packed into an integer code. Warm, 2-vCPU VM:
-0.23 ms at n=12, k=6 and 10 ms at n=16, k=12 (4.9 and 173 ms walk by walk), but
-0.07 ms at n=3, k=4 (0.03 ms), where the fixed cost of the NumPy calls dominates.
+the pair's height), so no walk is packed into an integer code.
 
 With the loop weight d = 2 cos(pi/k), the vector lambda_l = sin(pi l / k) is
 the d-eigenvector of the path graph's adjacency matrix, and the generator
@@ -218,11 +216,6 @@ def _word_product(basis: PathBasis, m: int, letters, dtype) -> np.ndarray:
         acc *= x * diag + y
         acc += buf
     return acc
-
-
-def phi_generator(basis: PathBasis, i: int) -> list[SectorOperator]:
-    """The i-th generator image as the one-letter generator word: one real-symmetric block per nonempty sector."""
-    return [SectorOperator(m, block) for m, block in sector_products(basis, [i]).items()]
 
 
 def braid_gen_unitary(basis: PathBasis, i: int, exponent: int, m: int) -> SectorOperator:

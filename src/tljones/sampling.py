@@ -62,12 +62,16 @@ class SamplerError(ValueError):
 MAX_SHOTS = 10**9
 
 
+def _check_targets(epsilon: float, delta: float) -> None:
+    """Both accuracy targets in the open interval (0, 1); NaN is not."""
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        if not 0.0 < value < 1.0:
+            raise SamplerError(f"{name} must be in (0, 1), got {value}")
+
+
 def iterations_for(epsilon: float, delta: float) -> int:
     """Two-sided Hoeffding sample count: ceil(ln(2/delta) / (2 epsilon^2)), refused over MAX_SHOTS."""
-    if not 0.0 < epsilon < 1.0:
-        raise SamplerError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise SamplerError(f"delta must be in (0, 1), got {delta}")
+    _check_targets(epsilon, delta)
     denominator = 2.0 * epsilon**2  # 0.0 once epsilon^2 underflows
     shots = math.log(2.0 / delta) / denominator if denominator else math.inf
     if shots > MAX_SHOTS:  # inf too, where 2/delta or the quotient overflows
@@ -85,8 +89,9 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_targets(self.epsilon, self.delta)  # the error bound reads delta even when iterations is given
         if self.iterations is None:
-            iterations_for(self.epsilon, self.delta)  # validates the ranges
+            iterations_for(self.epsilon, self.delta)  # refuses a count over the shot budget
         elif self.iterations < 1:
             raise SamplerError(f"iterations must be >= 1, got {self.iterations}")
 

@@ -381,14 +381,11 @@ def writhe_prefactor(w: int) -> LaurentPoly:
 def jones_polynomial(word: BraidWord) -> LaurentPoly:
     """Exact Jones polynomial (in A) of the braid's trace closure.
 
-    All d^-1 factors of the Markov trace provably cancel against the d^(n-1)
-    factor; a residual denominator would be an internal error and raises.
+    Every closure has a loop, so the Markov trace's d^-d_power has
+    d_power <= n - 1 and the factor d^(n-1) leaves a polynomial.
     """
     trace = markov_trace(jones_rep(word))
-    scaled = TraceValue(times_d(trace.numerator, word.strands - 1), trace.d_power)
-    if scaled.d_power != 0:
-        raise AssertionError(f"d^-{scaled.d_power} failed to cancel against d^{word.strands - 1}")
-    return scaled.as_laurent() * writhe_prefactor(writhe(word))
+    return times_d(trace.numerator, word.strands - 1 - trace.d_power) * writhe_prefactor(writhe(word))
 
 
 @dataclasses.dataclass(frozen=True)

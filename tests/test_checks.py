@@ -107,16 +107,11 @@ class TestSuiteCases:
 # The check_representation residuals each Tolerances field bounds, by the label's last part.
 REPRESENTATION_LABELS = {
     "eigen_residual": ("eigenvector residual",),
-    "symmetry": ("symmetry",),
     "phi_relations": ("idempotency", "recoupling"),
     "spectrum": ("spectrum",),
     "unitarity": ("unitarity",),
     "braid_relations": ("braid relation",),
-    "distant_commutation": ("commutation",),
 }
-# Phi_i is built exactly symmetric and distant generators touch disjoint bits,
-# so these two residuals are exactly 0 and cannot exceed even a zero bound.
-EXACTLY_ZERO = {"symmetry", "distant_commutation"}
 
 
 def _residual_name(detail: str) -> str:
@@ -125,7 +120,7 @@ def _residual_name(detail: str) -> str:
 
 
 class TestRepresentationWiring:
-    @pytest.mark.parametrize("field", sorted(set(REPRESENTATION_LABELS) - EXACTLY_ZERO))
+    @pytest.mark.parametrize("field", sorted(REPRESENTATION_LABELS))
     def test_zero_field_fails_only_its_own_residuals(self, field):
         report = checks.check_representation(n_max=4, k_max=5, tol=Tolerances(**{field: 0.0}))
         names = {_residual_name(line) for line in report.details}
@@ -148,6 +143,43 @@ class TestRepresentationWiring:
         monkeypatch.setattr(_Recorder, "check", spy)
         assert checks.check_representation(n_max=4, k_max=5, tol=tol).passed
         assert seen == set(bound_of)
+
+
+def _corrupt_table(monkeypatch, n, k, key, edit):
+    """check_representation's bases, with edit applied to the (diag, off, partner) table key of the (n, k) one."""
+    build = checks.enumerate_paths
+
+    def corrupted(n_, k_):
+        basis = build(n_, k_)
+        if (n_, k_) == (n, k):
+            edit(*basis.tables[key])
+        return basis
+
+    monkeypatch.setattr(checks, "enumerate_paths", corrupted)
+
+
+class TestExactCases:
+    """Symmetry and far commutation are exact comparisons, and a wrong letter table fails them."""
+
+    def test_wrong_partner_breaks_symmetry(self, monkeypatch):
+        def edit(diag, off, partner):
+            partner[1] = 0  # walk 1 of sector 3 swaps bits 3, 4 into walk 2, not walk 0
+
+        _corrupt_table(monkeypatch, 4, 5, (3, 3), edit)
+        report = checks.check_representation(n_max=4, k_max=5)
+        assert not report.passed
+        assert "n=4 k=5 i=3 m=3: symmetry" in report.details
+        assert "n=4 k=5 (1,3) m=3: commutation" in report.details
+
+    def test_wrong_diagonal_breaks_far_commutation_only(self, monkeypatch):
+        def edit(diag, off, partner):
+            diag[1] = 0.5  # Phi_1 stays symmetric but no longer commutes with Phi_3
+
+        _corrupt_table(monkeypatch, 4, 5, (1, 3), edit)
+        report = checks.check_representation(n_max=4, k_max=5)
+        assert not report.passed
+        assert "n=4 k=5 (1,3) m=3: commutation" in report.details
+        assert not [line for line in report.details if line.endswith("symmetry")]
 
 
 def test_public_names_are_exactly_the_bound_names():

@@ -246,6 +246,17 @@ class TestSample:
         assert err.startswith("error: ") and "budget" in err and len(err.splitlines()) == 1
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--delta", "0"), ("--delta", "-1"), ("--delta", "2"), ("--delta", "nan"), ("--epsilon", "7")]
+    )
+    def test_out_of_range_target_refused_with_explicit_iterations(self, capsys, flag, value):
+        # an explicit shot count still reports epsilon and delta, and the error bound reads delta
+        status, out, err = run_cli(
+            capsys, "sample", "--braid", "1 1 1", "--strands", "2", "--k", "5", "--iterations", "10", flag, value,
+        )
+        assert status == 2 and out == ""
+        assert err.startswith(f"error: {flag[2:]} must be in (0, 1)") and len(err.splitlines()) == 1
+
     def test_byte_identical_repeat(self, capsys):
         args = (
             "sample", "--braid", "1 -2 1 -2", "--strands", "3", "--k", "6",
@@ -281,6 +292,15 @@ class TestVerify:
         assert status == 1
         assert json.loads(out)["all_passed"] is False
 
+    def test_strict_overrides_pass(self, capsys):
+        # tighter bounds on the five floating families than the defaults, one --tol each
+        strict = {"unitarity": 1e-13, "phi_relations": 1e-11, "braid_relations": 1e-11,
+                  "trace_compat": 1e-11, "oracle_match": 1e-10}
+        tols = [arg for name, value in strict.items() for arg in ("--tol", f"{name}={value}")]
+        status, out, err = run_cli(capsys, "verify", "--n", "3", "--k", "4", "--samples", "2", *tols)
+        assert status == 0, err
+        assert json.loads(out)["tolerances"] == dataclasses.asdict(checks.Tolerances(**strict))
+
     @pytest.mark.parametrize(
         "flag, value", [("--n", "1"), ("--k", "2"), ("--samples", "0"), ("--samples", "-1")]
     )
@@ -314,8 +334,10 @@ class TestVerify:
         assert status == 2 and "NAME=VALUE" in err
 
     def test_unknown_profile(self, capsys):
-        status, _, err = run_cli(capsys, "verify", "--profile", "nope")
-        assert status == 2 and "profile" in err
+        # there are no tolerance profiles: --profile, even "strict", is an unknown argument
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--profile", "strict"])
+        assert exit_info.value.code == 2 and "--profile" in capsys.readouterr().err
 
     def test_verify_never_imports_numpy_random(self):
         # numpy.random costs about 2 MB of resident memory, and verify draws no random numbers.
@@ -344,4 +366,3 @@ class TestVerify:
         status, out, err = run_cli(capsys, "verify", "--n", "3", "--k", "4", "--samples", "2")
         assert status == 0, err
         assert json.loads(out)["tolerances"] == dataclasses.asdict(checks.Tolerances())
-        assert checks.PROFILES["strict"] != checks.Tolerances()

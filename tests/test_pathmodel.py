@@ -17,7 +17,6 @@ from tljones.pathmodel import (
     count_walks,
     enumerate_paths,
     global_gate,
-    phi_generator,
     sector_products,
 )
 
@@ -254,27 +253,27 @@ class TestAdjacency:
 class TestPhi:
     def test_n2_k3_scalar(self):
         basis = enumerate_paths(2, 3)
-        (op,) = phi_generator(basis, 1)
-        assert op.m == 1
-        assert op.matrix == pytest.approx(np.array([[1.0]]))  # d = 1 at k = 3
+        (m, block), = sector_products(basis, [1]).items()
+        assert m == 1
+        assert block == pytest.approx(np.array([[1.0]]))  # d = 1 at k = 3
 
     def test_n2_k4_blocks(self):
         basis = enumerate_paths(2, 4)
-        ops = {op.m: op.matrix for op in phi_generator(basis, 1)}
+        ops = sector_products(basis, [1])
         assert ops[1] == pytest.approx(np.array([[math.sqrt(2)]]))  # path 10
         assert ops[3] == pytest.approx(np.array([[0.0]]))  # path 11 annihilated
 
     def test_out_of_range_index(self):
         basis = enumerate_paths(2, 4)
         with pytest.raises(PathModelError):
-            phi_generator(basis, 2)
+            sector_products(basis, [2])
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_relations(self, n, k):
         basis = enumerate_paths(n, k)
         d = basis.params.d
-        phis = {i: {op.m: op.matrix for op in phi_generator(basis, i)} for i in range(1, n)}
+        phis = {i: sector_products(basis, [i]) for i in range(1, n)}
         for i in range(1, n):
             for m, block in phis[i].items():
                 assert np.array_equal(block, block.T)  # exact symmetry
@@ -381,7 +380,7 @@ class TestLetterTables:
     def test_dense_views_match_reference(self, n, k):
         basis = enumerate_paths(n, k)
         for i in range(1, n):
-            blocks = {op.m: op.matrix for op in phi_generator(basis, i)}
+            blocks = sector_products(basis, [i])
             assert blocks.keys() == set(basis.nonempty_sectors())
             for m, block in blocks.items():
                 assert same_bits(block, reference_phi_block(basis, i, m))
