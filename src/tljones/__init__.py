@@ -39,7 +39,6 @@ from .pathmodel import (
 from .sampling import (
     SamplerConfig,
     SamplerError,
-    estimate_bracket,
     hadamard_circuit_check,
     iterations_for,
     sample_jones_value,
@@ -84,7 +83,6 @@ __all__ = [
     "closure_component_count",
     "convert_to_t",
     "enumerate_paths",
-    "estimate_bracket",
     "global_gate",
     "hadamard_circuit_check",
     "inverse",

@@ -63,10 +63,12 @@ MAX_SHOTS = 10**9
 
 
 def _check_targets(epsilon: float, delta: float) -> None:
-    """Both accuracy targets in the open interval (0, 1); NaN is not."""
+    """Both accuracy targets in the open interval (0, 1); NaN is not, nor a delta whose 4/delta overflows."""
     for name, value in (("epsilon", epsilon), ("delta", delta)):
         if not 0.0 < value < 1.0:
             raise SamplerError(f"{name} must be in (0, 1), got {value}")
+    if math.isinf(4.0 / delta):  # the error bound reads ln(4/delta)
+        raise SamplerError(f"delta={delta} is too small: 4/delta overflows")
 
 
 def iterations_for(epsilon: float, delta: float) -> int:
@@ -74,7 +76,7 @@ def iterations_for(epsilon: float, delta: float) -> int:
     _check_targets(epsilon, delta)
     denominator = 2.0 * epsilon**2  # 0.0 once epsilon^2 underflows
     shots = math.log(2.0 / delta) / denominator if denominator else math.inf
-    if shots > MAX_SHOTS:  # inf too, where 2/delta or the quotient overflows
+    if shots > MAX_SHOTS:  # inf too, where the quotient overflows
         raise SamplerError(f"epsilon={epsilon}, delta={delta} need {shots:.3g} shots per channel, over the shot budget {MAX_SHOTS}")
     return max(1, math.ceil(shots))
 
@@ -150,21 +152,6 @@ def _draw_brackets(a: np.ndarray, iterations: int, rng: np.random.Generator) -> 
     ones_im = rng.binomial(iterations, 1.0 - p0_im)
     return [complex((iterations - 2 * re) / iterations, -(iterations - 2 * im) / iterations)
             for re, im in zip(ones_re.tolist(), ones_im.tolist())]
-
-
-def estimate_bracket(u: SectorOperator, p: int, iterations: int, rng: np.random.Generator) -> complex:
-    """Frequency estimate of <p|U|p> from `iterations` shots per channel, both counts from rng, real first.
-
-    Degenerate channels short-circuit to the exact forced bracket without
-    drawing any bits.
-    """
-    if iterations < 1:
-        raise SamplerError(f"iterations must be >= 1, got {iterations}")
-    a = complex(u.matrix[p, p])
-    forced = forced_bracket(a)
-    if forced is not None:
-        return forced
-    return _draw_brackets(np.array([a]), iterations, rng)[0]
 
 
 def sample_jones_value(word: BraidWord, k: int, config: SamplerConfig) -> EvaluationResult:

@@ -14,7 +14,8 @@ The Markov trace closes a diagram by joining top point j to bottom point j
 around the rectangle and weighs the result d^(loops - n). Because negative
 powers of d appear, trace values live in Z[A, A^-1, d^-1] and are carried
 exactly as a Laurent numerator over an explicit power of d (TraceValue).
-Powers of d are closed forms; d = -A^-2 (A^4 + 1) is cancelled where A^4 = -1 shows it divides.
+No normal form is kept: two trace values are equal when their difference,
+lifted to the larger power of d, has a zero numerator.
 
 A braid maps into the algebra by the Jones representation
 b_i -> A E_i + A^-1 1 (inverse letters swap A and A^-1), applied letter by
@@ -57,22 +58,6 @@ def times_d(poly: LaurentPoly, j: int) -> LaurentPoly:
     if not j:
         return poly
     return poly * LaurentPoly({2 * j - 4 * r: (-1) ** j * math.comb(j, r) for r in range(j + 1)})
-
-
-def d_divides(poly: LaurentPoly) -> bool:
-    """Whether d divides poly: A^4 + 1 is monic, so iff poly = 0 where A^4 = -1, A^8 = 1."""
-    folded = [0] * 8
-    for e, c in poly.coeffs.items():
-        folded[e % 8] += c
-    return folded[:4] == folded[4:]
-
-
-def divide_by_d(poly: LaurentPoly) -> LaurentPoly:
-    """poly / d for a poly that d divides: p_e = -q_(e-2) - q_(e+2), solved top down."""
-    p, q = poly.coeffs, {}
-    for e in range(max(p, default=0), min(p, default=0) + 3, -1):
-        q[e - 2] = -p.get(e, 0) - q.get(e + 2, 0)
-    return LaurentPoly(q)
 
 
 def _is_planar(partner: list[int], n: int) -> bool:
@@ -228,22 +213,6 @@ class TLElement:
             return NotImplemented
         return self.n == other.n and dict(self.terms) == dict(other.terms)
 
-    def __add__(self, other: TLElement) -> TLElement:
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        if self.n != other.n:
-            raise TLError("cannot add elements on different strand counts")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, LaurentPoly.zero()) + c
-        return TLElement(self.n, out)
-
-    def __neg__(self) -> TLElement:
-        return TLElement(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: TLElement) -> TLElement:
-        return self + (-other)
-
     def scaled(self, factor: LaurentPoly | int) -> TLElement:
         return TLElement(self.n, {m: c * factor for m, c in self.terms.items()})
 
@@ -279,29 +248,16 @@ def embed(element: TLElement) -> TLElement:
     return TLElement(n + 1, out)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class TraceValue:
     """An exact element of Z[A, A^-1, d^-1]: numerator / d^d_power.
 
-    Normalized on construction by cancelling every exact factor of
-    d = -A^2 - A^-2 out of the numerator; d is prime in Z[A, A^-1] up to
-    units, so the normal form is unique and equality is field equality.
+    The pair is kept as built, so one value has many pairs (d_power may be
+    negative): equality is value equality and trace values are unhashable.
     """
 
     numerator: LaurentPoly
     d_power: int
-
-    def __init__(self, numerator: LaurentPoly, d_power: int):
-        if d_power < 0:
-            numerator = times_d(numerator, -d_power)
-            d_power = 0
-        while d_power > 0 and numerator and d_divides(numerator):
-            numerator = divide_by_d(numerator)
-            d_power -= 1
-        if numerator.is_zero():
-            d_power = 0
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "d_power", d_power)
 
     def __add__(self, other: TraceValue) -> TraceValue:
         if not isinstance(other, TraceValue):
@@ -313,18 +269,19 @@ class TraceValue:
     def __sub__(self, other: TraceValue) -> TraceValue:
         return self + TraceValue(-other.numerator, other.d_power)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceValue):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    __hash__ = None
+
     def div_d(self, times: int = 1) -> TraceValue:
         """Multiply by d^-times (times may be negative to multiply by d)."""
         return TraceValue(self.numerator, self.d_power + times)
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
-
-    def as_laurent(self) -> LaurentPoly:
-        """The value as a plain Laurent polynomial; requires all d factors cancelled."""
-        if self.d_power != 0:
-            raise TLError(f"trace value has a residual d^-{self.d_power} denominator")
-        return self.numerator
 
     def evaluate(self, a_value: complex) -> complex:
         d = -a_value**2 - a_value**-2
@@ -338,7 +295,7 @@ class TraceValue:
 
 def markov_trace(element: TLElement) -> TraceValue:
     """Diagrammatic Markov trace: close each diagram and weigh by d^(loops - n),
-    summing per loop count and cancelling d^(fewest loops) first."""
+    summing per loop count and cancelling d^(fewest loops), so d_power <= n - 1."""
     by_loops: dict[int, LaurentPoly] = {}
     for matching, coeff in element.terms.items():
         loops = close_and_count_loops(matching)

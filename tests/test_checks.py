@@ -103,6 +103,21 @@ class TestSuiteCases:
         assert (report.passed, report.cases) == (False, 4)
         assert report.details == ["n=2: associativity sample 0", "n=3: associativity sample 0"]
 
+    @pytest.mark.parametrize(
+        "power, failing",
+        [(lambda n: 1, ("trace of identity is not 1",)),
+         (lambda n: n, ("trace of identity is not 1", "strand-closure axiom failed"))],
+        ids=["d", "d^n"],
+    )
+    def test_trace_off_by_a_power_of_d_fails(self, monkeypatch, power, failing):
+        # a factor of d fails only the identity case, since the other two axioms are linear;
+        # a factor that grows with n also breaks the strand-closure axiom
+        trace = tl.markov_trace
+        monkeypatch.setattr(checks.tl, "markov_trace", lambda element: trace(element).div_d(power(element.n)))
+        report = checks.check_trace_axioms(n_max=3, samples=5)
+        assert not report.passed
+        assert set(report.details) == {f"n={n}: {case}" for n in (2, 3) for case in failing}
+
 
 # The check_representation residuals each Tolerances field bounds, by the label's last part.
 REPRESENTATION_LABELS = {

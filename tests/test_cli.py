@@ -15,6 +15,15 @@ from tljones import checks
 from tljones.cli import main
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def load_json(text: str):
+    """json.loads that refuses Infinity, -Infinity and NaN, which json.dumps writes but JSON lacks."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     status = main(list(argv))
     captured = capsys.readouterr()
@@ -25,19 +34,19 @@ class TestPaths:
     def test_dimensions(self, capsys):
         status, out, err = run_cli(capsys, "paths", "--n", "3", "--k", "5")
         assert status == 0 and err == ""
-        data = json.loads(out)
+        data = load_json(out)
         assert data == {"n": 3, "k": 5, "dims": {"2": 2, "4": 1}, "total": 3}
 
     def test_counts_without_enumerating(self, capsys, monkeypatch):
         monkeypatch.setattr(tljones.pathmodel, "_walk_tables", None)  # building any walk would fail
         status, out, err = run_cli(capsys, "paths", "--n", "40", "--k", "12")
         assert status == 0 and err == ""
-        assert json.loads(out)["total"] == 91586476950
+        assert load_json(out)["total"] == 91586476950
 
     def test_cost_does_not_grow_with_k(self, capsys):
         status, out, err = run_cli(capsys, "paths", "--n", "3", "--k", "1000000000")
         assert status == 0 and err == ""
-        assert json.loads(out)["dims"] == {"2": 2, "4": 1}
+        assert load_json(out)["dims"] == {"2": 2, "4": 1}
 
 
 # Outputs frozen while lambda was stored for every height 0..k, which took 2.7 s and 488 MB on
@@ -86,7 +95,7 @@ class TestExact:
     def test_trefoil_polynomial(self, capsys):
         status, out, _ = run_cli(capsys, "exact", "--braid", "1 1 1", "--strands", "2")
         assert status == 0
-        data = json.loads(out)
+        data = load_json(out)
         assert data["writhe"] == 3
         assert data["polynomial_a"]["terms"] == [[4, "1"], [12, "1"], [16, "-1"]]
         assert data["polynomial_t"]["terms"] == [[-4, "-1"], [-3, "1"], [-1, "1"]]
@@ -94,7 +103,7 @@ class TestExact:
     def test_hopf_t_unavailable(self, capsys):
         status, out, _ = run_cli(capsys, "exact", "--braid", "1 1", "--strands", "2")
         assert status == 0
-        data = json.loads(out)
+        data = load_json(out)
         assert data["polynomial_t"] is None
         assert "divisible by 4" in data["t_unavailable_reason"]
 
@@ -117,7 +126,7 @@ class TestExact:
             capsys, "exact", "--braid", "1 1 1", "--strands", "2", "--sweep-k", "3..6"
         )
         assert status == 0, err
-        assert [row["k"] for row in json.loads(out)["sweep"]] == [3, 4, 5, 6]
+        assert [row["k"] for row in load_json(out)["sweep"]] == [3, 4, 5, 6]
 
     def test_csv_without_sweep_rejected(self, capsys):
         status, _, err = run_cli(
@@ -132,7 +141,7 @@ class TestEvaluate:
             capsys, "evaluate", "--braid", "1", "--strands", "2", "--k", "5"
         )
         assert status == 0
-        data = json.loads(out)
+        data = load_json(out)
         assert data["value"][0] == pytest.approx(1.0, abs=1e-9)
         assert data["value"][1] == pytest.approx(0.0, abs=1e-9)
 
@@ -141,7 +150,7 @@ class TestEvaluate:
             capsys, "evaluate", "--braid", "1 1 1", "--strands", "2", "--sweep-k", "3..6"
         )
         assert status == 0
-        data = json.loads(out)
+        data = load_json(out)
         assert [row["k"] for row in data["sweep"]] == [3, 4, 5, 6]
 
     def test_requires_braid_source(self, capsys):
@@ -162,7 +171,7 @@ class TestEvaluate:
         path.write_text(json.dumps({"strands": 3, "word": [1, -2, 1, -2]}))
         status, out, _ = run_cli(capsys, "evaluate", "--braid-file", str(path), "--k", "5")
         assert status == 0
-        assert json.loads(out)["word"] == [1, -2, 1, -2]
+        assert load_json(out)["word"] == [1, -2, 1, -2]
 
     @pytest.mark.parametrize(
         "payload, message",
@@ -213,7 +222,7 @@ class TestSample:
             "--epsilon", "0.1", "--delta", "0.1", "--seed", "3",
         )
         assert status == 0
-        data = json.loads(out)
+        data = load_json(out)
         assert data["method"] == "sampled"
         assert data["seed"] == 3
         assert data["abs_error"] >= 0.0
@@ -224,7 +233,7 @@ class TestSample:
             capsys, "sample", "--braid", "1 1 1", "--strands", "2", "--k", "5",
             "--seed", "3", "--raw",
         )
-        data = json.loads(out)
+        data = load_json(out)
         assert status == 0
         assert data["headline"] == "raw_trace"
         assert data["value"] == data["raw_trace"]
@@ -237,7 +246,7 @@ class TestSample:
         assert "budget" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "flag, value", [("--epsilon", "1e-200"), ("--epsilon", "1e-160"), ("--delta", "1e-320"), ("--epsilon", "1e-100")]
+        "flag, value", [("--epsilon", "1e-200"), ("--epsilon", "1e-160"), ("--epsilon", "1e-100")]
     )
     def test_tiny_epsilon_or_delta_refused(self, capsys, flag, value):
         # epsilon^2 underflowing to 0, or ln(2/delta) / (2 epsilon^2) overflowing, is an input error, not a crash
@@ -257,6 +266,23 @@ class TestSample:
         assert status == 2 and out == ""
         assert err.startswith(f"error: {flag[2:]} must be in (0, 1)") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("iterations", [(), ("--iterations", "10")], ids=["planned", "explicit-iterations"])
+    def test_delta_whose_error_bound_overflows_refused(self, capsys, iterations):
+        # the error bound reads ln(4/delta), so 4/delta must be finite whoever picks the shot count
+        status, out, err = run_cli(
+            capsys, "sample", "--braid", "1 1 1", "--strands", "2", "--k", "5", *iterations, "--delta", "1e-320",
+        )
+        assert (status, out) == (2, "")
+        assert err == "error: delta=1e-320 is too small: 4/delta overflows\n"
+
+    def test_smallest_delta_accepted_prints_valid_json(self, capsys):
+        status, out, err = run_cli(
+            capsys, "sample", "--braid", "1 1 1", "--strands", "2", "--k", "5", "--iterations", "10",
+            "--delta", "2.225073858507202e-308",
+        )
+        assert (status, err) == (0, "")
+        assert load_json(out)["value_error_bound"] > 0.0
+
     def test_byte_identical_repeat(self, capsys):
         args = (
             "sample", "--braid", "1 -2 1 -2", "--strands", "3", "--k", "6",
@@ -273,7 +299,7 @@ class TestVerify:
             capsys, "verify", "--n", "3", "--k", "4", "--samples", "5", "--seed", "0"
         )
         assert status == 0, err
-        data = json.loads(out)
+        data = load_json(out)
         assert data["all_passed"] is True
         assert {suite["name"] for suite in data["suites"]} == {
             "tl_relations",
@@ -290,7 +316,7 @@ class TestVerify:
             "--tol", "unitarity=1e-30",
         )
         assert status == 1
-        assert json.loads(out)["all_passed"] is False
+        assert load_json(out)["all_passed"] is False
 
     def test_strict_overrides_pass(self, capsys):
         # tighter bounds on the five floating families than the defaults, one --tol each
@@ -299,7 +325,7 @@ class TestVerify:
         tols = [arg for name, value in strict.items() for arg in ("--tol", f"{name}={value}")]
         status, out, err = run_cli(capsys, "verify", "--n", "3", "--k", "4", "--samples", "2", *tols)
         assert status == 0, err
-        assert json.loads(out)["tolerances"] == dataclasses.asdict(checks.Tolerances(**strict))
+        assert load_json(out)["tolerances"] == dataclasses.asdict(checks.Tolerances(**strict))
 
     @pytest.mark.parametrize(
         "flag, value", [("--n", "1"), ("--k", "2"), ("--samples", "0"), ("--samples", "-1")]
@@ -355,7 +381,7 @@ class TestVerify:
         completed = subprocess.run([sys.executable, "-W", "error", "-c", script], env={**os.environ, "PYTHONPATH": path},
                                    capture_output=True, text=True, timeout=120)
         assert completed.returncode == 0, completed.stderr
-        status, eager, loaded = json.loads(completed.stdout)
+        status, eager, loaded = load_json(completed.stdout)
         assert status == 0
         if eager:
             pytest.skip("this NumPy imports numpy.random together with numpy")
@@ -365,4 +391,4 @@ class TestVerify:
         monkeypatch.setenv("TLJONES_TOL_PROFILE", "strict")
         status, out, err = run_cli(capsys, "verify", "--n", "3", "--k", "4", "--samples", "2")
         assert status == 0, err
-        assert json.loads(out)["tolerances"] == dataclasses.asdict(checks.Tolerances())
+        assert load_json(out)["tolerances"] == dataclasses.asdict(checks.Tolerances())

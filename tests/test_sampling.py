@@ -15,9 +15,9 @@ from tljones.sampling import (
     SamplerConfig,
     SamplerError,
     _checked_probability,
+    _draw_brackets,
     bit_laws,
     bit_stream,
-    estimate_bracket,
     forced_bracket,
     hadamard_circuit_check,
     iterations_for,
@@ -114,10 +114,17 @@ class TestIterationsFor:
             with pytest.raises(SamplerError):
                 iterations_for(0.1, bad)
 
-    @pytest.mark.parametrize("epsilon, delta", [(1e-200, 0.05), (1e-160, 0.05), (0.1, 1e-320), (1e-6, 0.05)])
+    @pytest.mark.parametrize("epsilon, delta", [(1e-200, 0.05), (1e-160, 0.05), (1e-6, 0.05)])
     def test_over_the_shot_budget_refused(self, epsilon, delta):
         with pytest.raises(SamplerError, match="budget"):
             iterations_for(epsilon, delta)
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-320, 2.2250738585072014e-308])
+    def test_delta_whose_error_bound_overflows_refused(self, delta):
+        # 4/delta overflows for every subnormal delta and the smallest normal one, though ln(4/delta) is about 710
+        for refuse in (lambda: iterations_for(0.1, delta), lambda: SamplerConfig(delta=delta, iterations=10)):
+            with pytest.raises(SamplerError, match=rf"^delta={delta} is too small: 4/delta overflows$"):
+                refuse()
 
     def test_budget_bounds_the_count(self, monkeypatch):
         monkeypatch.setattr(sampling, "MAX_SHOTS", 185)
@@ -201,23 +208,27 @@ class TestForcedBrackets:
 
 
 class TestEstimateBracket:
+    """One walk's estimate: forced_bracket, else the draw helper on that walk alone."""
+
     def test_identity_exact(self):
-        rng = bit_stream(0)
-        assert estimate_bracket(scalar_op(1.0), 0, 50, rng) == 1 + 0j
+        assert forced_bracket(1 + 0j) == 1 + 0j
+        assert _draw_brackets(np.array([1 + 0j]), 50, bit_stream(0))[0].real == 1.0  # a law of exactly 1 draws no 1-bit
 
     def test_negative_identity_exact(self):
-        rng = bit_stream(0)
-        assert estimate_bracket(scalar_op(-1.0), 0, 50, rng) == -1 + 0j
+        assert forced_bracket(-1 + 0j) == -1 + 0j
+        assert _draw_brackets(np.array([-1 + 0j]), 50, bit_stream(0))[0].real == -1.0
 
     def test_bracket_06_golden(self):
-        u = SectorOperator(1, np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex))
-        est = estimate_bracket(u, 0, 10**5, bit_stream(7))
+        a = complex(SectorOperator(1, np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)).matrix[0, 0])
+        assert forced_bracket(a) is None
+        est = _draw_brackets(np.array([a]), 10**5, bit_stream(7))[0]
         assert est == (0.59892 + 0.00168j)  # frozen seeded regression value
         assert abs(est.real - 0.6) <= 0.01
 
     def test_iterations_validated(self):
-        with pytest.raises(SamplerError):
-            estimate_bracket(scalar_op(0.5), 0, 0, bit_stream(0))
+        for iterations in (0, -1):
+            with pytest.raises(SamplerError, match=f"iterations must be >= 1, got {iterations}"):
+                SamplerConfig(iterations=iterations)
 
 
 class TestChunkedCount:
@@ -256,9 +267,9 @@ class TestCountLaw:
     @pytest.mark.parametrize("p0", [0.3, 0.5, 0.97])
     def test_binomial_counts_match_bit_level_counts(self, p0):
         shots = self.SHOTS
-        u = scalar_op(2.0 * p0 - 1.0)  # real-channel law Prob(0) = p0
+        a = np.array([2.0 * p0 - 1.0 + 0j])  # real-channel law Prob(0) = p0
         drawn = np.array([
-            round(shots * (1.0 - estimate_bracket(u, 0, shots, bit_stream(seed)).real) / 2)
+            round(shots * (1.0 - _draw_brackets(a, shots, bit_stream(seed))[0].real) / 2)
             for seed in range(self.SEEDS)
         ])
         bits = np.array([

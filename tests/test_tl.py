@@ -17,8 +17,6 @@ from tljones.tl import (
     TLError,
     TraceValue,
     close_and_count_loops,
-    d_divides,
-    divide_by_d,
     embed,
     generator_word,
     jones_polynomial,
@@ -281,7 +279,7 @@ class TestRelationsReport:
 class TestMarkovTrace:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_trace_of_identity(self, n):
-        assert markov_trace(TLElement.identity(n)).as_laurent() == LaurentPoly.one()
+        assert markov_trace(TLElement.identity(n)) == TraceValue(LaurentPoly.one(), 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_trace_of_generator(self, n):
@@ -309,13 +307,10 @@ class TestMarkovTrace:
             assert (lhs - markov_trace(x).div_d(1)).is_zero()
 
     def test_trace_value_normalization(self):
-        # d * (1/d) normalizes to the polynomial 1
-        assert TraceValue(LOOP_WEIGHT, 1) == TraceValue(LaurentPoly.one(), 0)
-        assert TraceValue(LOOP_WEIGHT, 1).as_laurent() == LaurentPoly.one()
-
-    def test_unnormalizable_denominator_raises(self):
-        with pytest.raises(TLError, match="denominator"):
-            TraceValue(LaurentPoly.one(), 1).as_laurent()
+        # d * (1/d) is the polynomial 1, though the pair is kept as built
+        value = TraceValue(LOOP_WEIGHT, 1)
+        assert value == TraceValue(LaurentPoly.one(), 0)
+        assert (value.numerator, value.d_power) == (LOOP_WEIGHT, 1)
 
 
 class TestJonesRep:
@@ -410,13 +405,12 @@ class TestJonesPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# The letter-local oracle and the division-free normal form against
-# test-local copies of the earlier general-purpose code.
+# The letter-local oracle against test-local copies of the earlier
+# general-purpose code, and the closed-form powers of d.
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 polys = st.dictionaries(st.integers(-12, 12), st.integers(-40, 40), max_size=6).map(LaurentPoly)
-nonzero_polys = polys.filter(bool)
 
 
 @st.composite
@@ -467,19 +461,6 @@ def reference_embed(m: PlanarMatching) -> PlanarMatching:
     return PlanarMatching(n + 1, pairs + [(n + 1, 2 * n + 2)])
 
 
-def reference_normal_form(numerator: LaurentPoly, d_power: int) -> tuple[LaurentPoly, int]:
-    """The earlier TraceValue normalization: long division by d until it raises."""
-    if d_power < 0:
-        numerator, d_power = numerator * d_to(-d_power), 0
-    while d_power > 0 and not numerator.is_zero():
-        try:
-            numerator = numerator.div_exact(LOOP_WEIGHT)
-        except ExactDivisionError:
-            break
-        d_power -= 1
-    return numerator, 0 if numerator.is_zero() else d_power
-
-
 class TestLetterAction:
     @PROPERTY
     @given(braid_words())
@@ -501,44 +482,39 @@ class TestLetterAction:
 
 
 class TestDivisionFreeNormalForm:
+    """Closed-form powers of d, and trace values compared by lifting to a common power of d."""
+
     @PROPERTY
     @given(polys, st.integers(0, 6))
     def test_closed_form_powers(self, p, j):
         assert times_d(p, j) == p * d_to(j)
 
     @PROPERTY
-    @given(nonzero_polys, st.integers(1, 5))
-    def test_divisible_multiples_agree_with_div_exact(self, q, j):
-        p = q * d_to(j)
-        assert d_divides(p)
-        assert divide_by_d(p) == p.div_exact(LOOP_WEIGHT) == q * d_to(j - 1)
-
-    @PROPERTY
     @given(polys, st.integers(0, 4), st.integers(-20, 20))
     def test_a_unit_added_is_never_divisible(self, q, j, e):
         p = q * d_to(j) + LaurentPoly.monomial(e)
-        assert not d_divides(p)
         with pytest.raises(ExactDivisionError):
             p.div_exact(LOOP_WEIGHT)
 
-    def test_zero_is_divisible(self):
-        assert d_divides(LaurentPoly.zero()) and divide_by_d(LaurentPoly.zero()).is_zero()
-
     @PROPERTY
-    @given(polys, st.integers(0, 4), st.integers(-3, 6))
-    def test_trace_value_normal_form(self, q, j, d_power):
-        numerator = q * d_to(j)
-        value = TraceValue(numerator, d_power)
-        assert (value.numerator, value.d_power) == reference_normal_form(numerator, d_power)
+    @given(polys, st.integers(0, 4), st.integers(-3, 6), st.integers(-20, 20))
+    def test_equality_is_value_equality(self, q, j, d_power, e):
+        assert TraceValue(q * d_to(j), d_power + j) == TraceValue(q, d_power)
+        assert TraceValue(q * d_to(j) + LaurentPoly.monomial(e), d_power + j) != TraceValue(q, d_power)
+
+    def test_trace_values_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(TraceValue(LaurentPoly.one(), 1))
 
     def test_negative_d_power_multiplies_by_d(self):
-        value = TraceValue(LaurentPoly.monomial(3), -2)
-        assert (value.numerator, value.d_power) == (LaurentPoly.monomial(3) * d_to(2), 0)
+        value, product = TraceValue(LaurentPoly.monomial(3), -2), TraceValue(LaurentPoly.monomial(3) * d_to(2), 0)
+        assert value == product
+        assert value.evaluate(0.3 + 0.8j) == pytest.approx(product.evaluate(0.3 + 0.8j))
 
     def test_div_d_by_a_negative_count_multiplies(self):
         value = TraceValue(LaurentPoly.one(), 1)  # 1/d
         assert value.div_d(-1) == TraceValue(LaurentPoly.one(), 0)
-        assert value.div_d(-3).numerator == d_to(2) and value.div_d(-3).d_power == 0
+        assert value.div_d(-3) == TraceValue(d_to(2), 0)
         assert value.div_d(-3).div_d(3) == value
 
 
