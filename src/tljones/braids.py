@@ -42,9 +42,6 @@ class BraidWord:
                     f"generator index {index} out of range [1, {self.strands - 1}]"
                 )
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     @classmethod
     def identity(cls, strands: int) -> BraidWord:
         return cls(strands, ())

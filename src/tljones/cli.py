@@ -111,10 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--delta", type=float, default=0.05)
     p_sample.add_argument("--iterations", type=int)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument(
-        "--raw", action="store_true",
-        help="report the literal loop output (no 1/N, no prefactor) as the headline value",
-    )
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--n", type=int, default=6, help="max strand count")
@@ -144,12 +140,7 @@ def _run_paths(args: argparse.Namespace) -> int:
 def _run_exact(args: argparse.Namespace) -> int:
     word = _load_braid(args)
     poly_a = jones_polynomial(word)
-    document = {
-        "strands": word.strands,
-        "word": list(word.signed_indices()),
-        "writhe": writhe(word),
-        "polynomial_a": poly_a.to_json_dict("A"),
-    }
+    document = word.to_json_dict() | {"writhe": writhe(word), "polynomial_a": poly_a.to_json_dict("A")}
     try:
         document["polynomial_t"] = convert_to_t(poly_a).to_json_dict("t")
     except ValueError as exc:
@@ -170,8 +161,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     if args.k is not None and args.k < 3:
         raise CliError(f"--k must be >= 3, got {args.k}")
     if args.sweep_k:
-        document = {"strands": word.strands, "word": list(word.signed_indices())}
-        return _emit_sweep(args, document, lambda k: jones_value_exact(word, k).value)
+        return _emit_sweep(args, word.to_json_dict(), lambda k: jones_value_exact(word, k).value)
     if args.format == "csv":
         raise CliError("--format csv is only available with --sweep-k")
     result = jones_value_exact(word, args.k)
@@ -187,12 +177,7 @@ def _run_sample(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         seed=args.seed,
     )
-    result = sample_jones_value(word, args.k, config)
-    document = result.to_json_dict()
-    if args.raw:
-        document["value"] = document["raw_trace"]
-        document["headline"] = "raw_trace"
-    _emit(document)
+    _emit(sample_jones_value(word, args.k, config).to_json_dict())
     return 0
 
 

@@ -16,9 +16,13 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class LaurentPoly:
-    """Immutable Laurent polynomial: map from exponent to nonzero int coefficient."""
+    """Immutable Laurent polynomial: map from exponent to nonzero int coefficient.
+
+    Arithmetic and equality take polynomials only; an integer constant c is
+    LaurentPoly.monomial(0, c). Polynomials are unhashable.
+    """
 
     coeffs: Mapping[int, int]
 
@@ -45,18 +49,13 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+    __hash__ = None
 
-    def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
+    def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self.coeffs)
@@ -64,17 +63,13 @@ class LaurentPoly:
             out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
-    def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
+    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
 
-    def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, int] = {}
@@ -83,8 +78,6 @@ class LaurentPoly:
                 e = ea + eb
                 out[e] = out.get(e, 0) + ca * cb
         return LaurentPoly(out)
-
-    __rmul__ = __mul__
 
     def substitute_inverse(self) -> LaurentPoly:
         """The image under x -> x^-1 (mirror of all exponents)."""
@@ -132,10 +125,6 @@ class LaurentPoly:
             "variable": variable,
             "terms": [[e, str(c)] for e, c in sorted(self.coeffs.items())],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> LaurentPoly:
-        return cls({int(e): int(c) for e, c in data["terms"]})
 
     def format(self, variable: str = "A") -> str:
         if not self.coeffs:

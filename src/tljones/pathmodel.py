@@ -180,17 +180,10 @@ def _walk_tables(n: int, lam: tuple[float, ...], dims: dict[int, int]):
 
 
 def adjacency_eigen_check(k: int) -> float:
-    """Max-norm residual of M lambda = d lambda for the path graph on k-1 vertices."""
-    if k < 3:
-        raise PathModelError(f"k must be >= 3, got {k}")
-    size = k - 1
-    m = np.zeros((size, size))
-    for i in range(size - 1):
-        m[i, i + 1] = 1.0
-        m[i + 1, i] = 1.0
-    lam = np.array([math.sin(math.pi * ell / k) for ell in range(1, k)])
-    d = 2.0 * math.cos(math.pi / k)
-    return float(np.max(np.abs(m @ lam - d * lam)))
+    """Max residual of lambda_(l-1) + lambda_(l+1) = d lambda_l, l = 1..k-1, on the model's own lambda and d."""
+    params = ModelParams.create(k, max(k - 2, 1))  # n = k - 2 reaches every height up to the wall at k
+    lam, d = params.lam, params.d
+    return max(abs(lam[ell - 1] + lam[ell + 1] - d * lam[ell]) for ell in range(1, k))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -227,9 +227,6 @@ class CircuitCheckReport:
             abs(self.im_prob0_circuit - self.im_prob0_formula),
         )
 
-    def passed(self) -> bool:
-        return self.max_deviation <= 1e-12
-
 
 # Largest gate hadamard_circuit_check simulates: the statevector holds 2 x dim amplitudes.
 CIRCUIT_CHECK_MAX_DIM = 64

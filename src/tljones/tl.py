@@ -213,7 +213,7 @@ class TLElement:
             return NotImplemented
         return self.n == other.n and dict(self.terms) == dict(other.terms)
 
-    def scaled(self, factor: LaurentPoly | int) -> TLElement:
+    def scaled(self, factor: LaurentPoly) -> TLElement:
         return TLElement(self.n, {m: c * factor for m, c in self.terms.items()})
 
     def __mul__(self, other: TLElement) -> TLElement:

@@ -228,15 +228,15 @@ class TestSample:
         assert data["abs_error"] >= 0.0
         assert data["exact_value"] is not None
 
-    def test_raw_flag_promotes_raw_trace(self, capsys):
-        status, out, _ = run_cli(
-            capsys, "sample", "--braid", "1 1 1", "--strands", "2", "--k", "5",
-            "--seed", "3", "--raw",
-        )
+    def test_raw_flag_gone_and_raw_trace_always_printed(self, capsys):
+        argv = ["sample", "--braid", "1 1 1", "--strands", "2", "--k", "5", "--seed", "3"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--raw"])
+        assert exit_info.value.code == 2 and "--raw" in capsys.readouterr().err
+        status, out, _ = run_cli(capsys, *argv)
         data = load_json(out)
-        assert status == 0
-        assert data["headline"] == "raw_trace"
-        assert data["value"] == data["raw_trace"]
+        assert status == 0 and "headline" not in data
+        assert len(data["raw_trace"]) == 2 and data["value"] != data["raw_trace"]
 
     def test_shot_budget_rejected(self, capsys):
         status, out, err = run_cli(

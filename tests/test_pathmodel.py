@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from tljones.braids import BraidWord, parse_braid_word
+import tljones.checks
 import tljones.pathmodel
 from tljones.pathmodel import (
     MAX_GATE_BYTES,
@@ -248,6 +250,24 @@ class TestAdjacency:
 
     def test_large_k(self):
         assert adjacency_eigen_check(64) <= 1e-10
+
+    def test_shifted_lambda_fails(self, monkeypatch):
+        """The check reads ModelParams.create's lambda, so a defect there (lambda_l = sin(pi (l+1) / k)) fails it."""
+        create = ModelParams.create.__func__
+
+        def shifted(cls, k, n):
+            params = create(cls, k, n)
+            lam = [0.0] + [math.sin(math.pi * (ell + 1) / k) for ell in range(1, min(k, len(params.lam)))]
+            return dataclasses.replace(params, lam=(*lam, *params.lam[len(lam):]))
+
+        monkeypatch.setattr(ModelParams, "create", classmethod(shifted))
+        assert adjacency_eigen_check(8) > 0.38
+        details = tljones.checks.check_representation(n_max=4, k_max=5).details
+        assert [line for line in details if "eigenvector" in line] == [
+            "k=3: eigenvector residual 8.66e-01",
+            "k=4: eigenvector residual 7.07e-01",
+            "k=5: eigenvector residual 5.88e-01",
+        ]
 
 
 class TestPhi:

@@ -476,12 +476,12 @@ class TestCircuitCheck:
     def test_identity(self):
         report = hadamard_circuit_check(scalar_op(1.0), 0)
         assert report.re_prob0_circuit == pytest.approx(1.0, abs=1e-12)
-        assert report.passed()
+        assert report.max_deviation <= 1e-12
 
     def test_negative_identity(self):
         report = hadamard_circuit_check(scalar_op(-1.0), 0)
         assert report.re_prob0_circuit == pytest.approx(0.0, abs=1e-12)
-        assert report.passed()
+        assert report.max_deviation <= 1e-12
 
     def test_random_unitaries_both_variants(self):
         nprng = np.random.default_rng(1)
