@@ -12,6 +12,7 @@ inverse of b_2. JSON format: {"strands": n, "word": [+-i, ...]}.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Mapping
 
 
@@ -31,9 +32,9 @@ class BraidWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.strands < 1:
+        if operator.index(self.strands) < 1:  # operator.index refuses a float rather than truncating it
             raise BraidError(f"strand count must be >= 1, got {self.strands}")
-        object.__setattr__(self, "letters", tuple((int(i), int(s)) for i, s in self.letters))
+        object.__setattr__(self, "letters", tuple((operator.index(i), operator.index(s)) for i, s in self.letters))
         for index, sign in self.letters:
             if sign not in (1, -1):
                 raise BraidError(f"exponent must be +1 or -1, got {sign}")
@@ -65,12 +66,7 @@ class BraidWord:
             raise BraidParseError(f"'strands' must be an integer, got {strands!r}")
         if not isinstance(word, (list, tuple)) or not all(_is_int(v) for v in word):
             raise BraidParseError(f"'word' must be a list of integers, got {word!r}")
-        letters = []
-        for v in word:
-            if v == 0:
-                raise BraidParseError("0 is not a valid signed generator index")
-            letters.append((abs(v), 1 if v > 0 else -1))
-        return cls(strands, tuple(letters))
+        return cls(strands, tuple(map(_letter, word)))
 
 
 def _is_int(value) -> bool:
@@ -78,28 +74,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _letter(value: int) -> tuple[int, int]:
+    """A signed generator index as an (index, exponent) letter; BraidWord checks the index's range."""
+    if value == 0:
+        raise BraidParseError("0 is not a valid signed generator index")
+    return abs(value), 1 if value > 0 else -1
+
+
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated signed generator indices into a braid word.
 
     Empty or all-whitespace text is the identity braid.
     """
-    if strands < 1:
-        raise BraidError(f"strand count must be >= 1, got {strands}")
-    letters = []
+    values = []
     for token in text.split():
         try:
-            value = int(token)
+            values.append(int(token))
         except ValueError:
             raise BraidParseError(f"token {token!r} is not a signed integer") from None
-        if value == 0:
-            raise BraidParseError("token '0' is not a valid generator (indices start at 1)")
-        index = abs(value)
-        if index > strands - 1:
-            raise BraidParseError(
-                f"token {token!r}: index {index} out of range [1, {strands - 1}]"
-            )
-        letters.append((index, 1 if value > 0 else -1))
-    return BraidWord(strands, tuple(letters))
+    return BraidWord(strands, tuple(map(_letter, values)))
 
 
 def writhe(word: BraidWord) -> int:

@@ -2,11 +2,11 @@
 residuals, trace compatibility, oracle equivalence, and knot-theory sanity.
 
 Every numeric tolerance lives in one Tolerances record, whose fields a run may
-override one by one. Each suite records its checks through one recorder, where
-a floating residual or an exact comparison is one case, residuals raise the
-suite's max_residual, and a residual over its bound (or a failed comparison) is
-one detail line. Suites return CheckReport values that the CLI serializes and
-the acceptance tests assert on.
+override one by one. Each suite records its checks on its own CheckReport,
+where a floating residual or an exact comparison is one case, residuals raise
+the suite's max_residual, a residual over its bound (or a failed comparison) is
+one detail line, and the suite passes when there is none. The CLI serializes
+the reports and the acceptance tests assert on them.
 """
 
 from __future__ import annotations
@@ -44,31 +44,25 @@ class Tolerances:
 
 @dataclasses.dataclass
 class CheckReport:
-    """Outcome of one verification suite."""
+    """Outcome of one verification suite, recorded as it runs: every check is one case, and only a failing one leaves a detail."""
 
     name: str
-    passed: bool
-    max_residual: float
-    cases: int
+    max_residual: float = 0.0
+    cases: int = 0
     details: list[str] = dataclasses.field(default_factory=list)
 
+    @property
+    def passed(self) -> bool:
+        return not self.details
+
     def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-class _Recorder:
-    """One suite's bookkeeping: every check is one case, and only a failing one leaves a detail."""
-
-    def __init__(self):
-        self.cases = 0
-        self.worst = 0.0
-        self.details: list[str] = []
+        return dataclasses.asdict(self) | {"passed": self.passed}
 
     def check(self, residual: float, bound: float, label: str) -> None:
-        """A floating residual: raises the worst residual (NaN for good once one is NaN), fails unless it is <= its bound."""
+        """A floating residual: raises max_residual (NaN for good once one is NaN), fails unless it is <= its bound."""
         self.cases += 1
-        if residual > self.worst or math.isnan(residual):
-            self.worst = residual
+        if residual > self.max_residual or math.isnan(residual):
+            self.max_residual = residual
         if not residual <= bound:
             self.details.append(f"{label} {residual:.2e}")
 
@@ -78,23 +72,20 @@ class _Recorder:
         if not ok:
             self.details.append(label)
 
-    def report(self, name: str) -> CheckReport:
-        return CheckReport(name, not self.details, self.worst, self.cases, self.details)
-
 
 def check_tl_relations(n_max: int = 6, samples: int = 10, seed: int = 0) -> CheckReport:
     """Symbolic defining relations and associativity for every n up to n_max."""
-    rec = _Recorder()
+    rec = CheckReport("tl_relations")
     for n in range(2, n_max + 1):
         for name, ok in tl.verify_tl_relations(n, sample_count=samples, seed=seed + n).results:
             rec.holds(ok, f"n={n}: {name}")
-    return rec.report("tl_relations")
+    return rec
 
 
 def check_trace_axioms(n_max: int = 6, samples: int = 50, seed: int = 0) -> CheckReport:
     """The three Markov-trace axioms, symbolically exact, on random words."""
     rng = random.Random(seed)
-    rec = _Recorder()
+    rec = CheckReport("markov_trace_axioms")
     for n in range(2, n_max + 1):
         rec.holds(tl.markov_trace(tl.TLElement.identity(n)) == tl.TraceValue(tl.LaurentPoly.one(), 0),
                   f"n={n}: trace of identity is not 1")
@@ -104,7 +95,7 @@ def check_trace_axioms(n_max: int = 6, samples: int = 50, seed: int = 0) -> Chec
             rec.holds((tl.markov_trace(x * y) - tl.markov_trace(y * x)).is_zero(), f"n={n}: cyclicity failed")
             lhs = tl.markov_trace(tl.embed(x) * tl.TLElement.generator(n + 1, n))
             rec.holds((lhs - tl.markov_trace(x).div_d(1)).is_zero(), f"n={n}: strand-closure axiom failed")
-    return rec.report("markov_trace_axioms")
+    return rec
 
 
 def check_representation(
@@ -113,7 +104,7 @@ def check_representation(
     """Residuals of the generator-image relations, gate unitarity, braid
     relations, spectrum, and the adjacency eigen-identity; symmetry and far
     commutation are exact comparisons."""
-    rec = _Recorder()
+    rec = CheckReport("representation")
 
     def norm(x) -> float:
         return float(np.max(np.abs(x))) if x.size else 0.0
@@ -152,7 +143,7 @@ def check_representation(
                     for m in basis.nonempty_sectors():
                         a, b = phis[i][m], phis[j][m]
                         rec.holds(np.array_equal(a @ b, b @ a), f"n={n} k={k} ({i},{j}) m={m}: commutation")
-    return rec.report("representation")
+    return rec
 
 
 def check_trace_compatibility(
@@ -160,7 +151,7 @@ def check_trace_compatibility(
 ) -> CheckReport:
     """|weighted trace of a generator word - symbolic trace at the phase|, on n <= 5 strands and up to 10 letters."""
     rng = random.Random(seed)
-    rec = _Recorder()
+    rec = CheckReport("trace_compatibility")
     for _ in range(samples):
         n = rng.randint(2, 5)
         k = rng.randint(3, k_max)
@@ -170,7 +161,7 @@ def check_trace_compatibility(
         numeric = markov_trace_pathmodel(basis, indices)
         symbolic = tl.markov_trace(tl.generator_word(n, indices)).evaluate(basis.params.a_value)
         rec.check(abs(numeric - symbolic), tol.trace_compat, f"n={n} k={k} word={indices}: residual")
-    return rec.report("trace_compatibility")
+    return rec
 
 
 def standard_braid_suite() -> dict[str, BraidWord]:
@@ -190,14 +181,14 @@ def check_oracle_equivalence(
     rng = random.Random(seed)
     words = list(standard_braid_suite().values())
     words += [braids.random_braid(rng, max_strands=4, max_length=8) for _ in range(20)]
-    rec = _Recorder()
+    rec = CheckReport("oracle_equivalence")
     for word in words:
         poly = tl.jones_polynomial(word)
         for k in range(3, k_max + 1):
             result = jones_value_exact(word, k)
             rec.check(abs(result.value - poly.evaluate(result.a_value)), tol.oracle_match,
                       f"word={list(word.signed_indices())} n={word.strands} k={k}: residual")
-    return rec.report("oracle_equivalence")
+    return rec
 
 
 def check_knot_sanity(
@@ -206,7 +197,7 @@ def check_knot_sanity(
     """V(unknot) = 1 at every k; V = 1 at k=3 for every knot closure; and
     exact-value invariance under conjugation and both stabilizations."""
     rng = random.Random(seed)
-    rec = _Recorder()
+    rec = CheckReport("knot_sanity")
     unknot = parse_braid_word("1", 2)
     for k in range(3, k_max + 1):
         rec.check(abs(jones_value_exact(unknot, k).value - 1.0), tol.oracle_match, f"unknot at k={k}: residual")
@@ -227,7 +218,7 @@ def check_knot_sanity(
         ]
         for tag, value in zip(("conjugate", "stabilize+", "stabilize-"), moved):
             rec.check(abs(value - base), tol.oracle_match, f"{tag} of {list(word.signed_indices())} at k={k}: residual")
-    return rec.report("knot_sanity")
+    return rec
 
 
 def run_verification(

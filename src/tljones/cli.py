@@ -44,7 +44,7 @@ def _load_braid(args: argparse.Namespace) -> BraidWord:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
             return BraidWord.from_json_dict(data)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested past the parser's depth
             raise CliError(f"cannot load braid file {path}: {exc}") from exc
     if args.strands is None:
         raise CliError("--strands is required with --braid")

@@ -142,5 +142,5 @@ def markov_trace_pathmodel(basis: PathBasis, generator_indices: list[int]) -> co
     at the model's phase; this is the compatibility theorem made executable.
     """
     blocks = sector_products(basis, generator_indices)
-    ops = {m: SectorOperator(m, mat) for m, mat in blocks.items()}
+    ops = {m: SectorOperator(mat) for m, mat in blocks.items()}
     return weighted_trace(basis, ops)

@@ -9,6 +9,7 @@ Jones variable obtained through the substitution t = A^-4.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Mapping
 
 
@@ -27,7 +28,7 @@ class LaurentPoly:
     coeffs: Mapping[int, int]
 
     def __init__(self, coeffs: Mapping[int, int]):
-        filtered = {int(e): int(c) for e, c in coeffs.items() if c != 0}
+        filtered = {operator.index(e): operator.index(c) for e, c in coeffs.items() if c}  # refuses floats
         object.__setattr__(self, "coeffs", filtered)
 
     @classmethod

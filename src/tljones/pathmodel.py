@@ -54,7 +54,10 @@ def choose_a(k: int) -> complex:
     """A = i e^(-i pi / 2k): unit modulus, -A^2 - A^-2 = 2 cos(pi/k) and A^-4 = e^(2 pi i/k)."""
     if k < 3:
         raise PathModelError(f"k must be >= 3, got {k}")
-    return 1j * cmath.exp(-1j * math.pi / (2 * k))
+    try:
+        return 1j * cmath.exp(-1j * math.pi / (2 * k))
+    except OverflowError:  # 2k past the float range; k's own digits would run to hundreds
+        raise PathModelError(f"k is too large: 2k overflows a float ({k.bit_length()}-bit k)") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,14 +72,13 @@ class ModelParams:
 
     @classmethod
     def create(cls, k: int, n: int) -> ModelParams:
-        if k < 3:
-            raise PathModelError(f"k must be >= 3, got {k}")
+        a_value = choose_a(k)  # refuses k < 3 and a k too large for the phase
         if n < 1:
             raise PathModelError(f"n must be >= 1, got {n}")
         lam = [0.0] + [math.sin(math.pi * ell / k) for ell in range(1, min(k, n + 3))]
         if k <= n + 2:
             lam.append(0.0)
-        return cls(k, n, 2.0 * math.cos(math.pi / k), choose_a(k), tuple(lam))
+        return cls(k, n, 2.0 * math.cos(math.pi / k), a_value, tuple(lam))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,9 +190,8 @@ def adjacency_eigen_check(k: int) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class SectorOperator:
-    """A dense square operator on the walk basis of one endpoint sector."""
+    """A dense square operator on the walk basis of one endpoint sector (containers key it by the sector)."""
 
-    m: int
     matrix: np.ndarray
 
     @property
@@ -231,7 +232,7 @@ def _braid_product(basis: PathBasis, word: BraidWord, m: int) -> SectorOperator:
         raise PathModelError(f"sector {m} is empty at n={basis.n}, k={basis.k}")
     a = basis.params.a_value
     letters = [(i, a, 1 / a) if sign == 1 else (i, 1 / a, a) for i, sign in word.letters]
-    return SectorOperator(m, _word_product(basis, m, letters, complex))
+    return SectorOperator(_word_product(basis, m, letters, complex))
 
 
 def sector_products(basis: PathBasis, generator_indices: list[int]) -> dict[int, np.ndarray]:

@@ -210,22 +210,17 @@ def sample_jones_value(word: BraidWord, k: int, config: SamplerConfig) -> Evalua
 
 @dataclasses.dataclass(frozen=True)
 class CircuitCheckReport:
-    """Statevector validation of the Hadamard-test identity for one (U, p)."""
+    """Statevector validation of the Hadamard-test identity: the circuit's ancilla probabilities for one bracket <p|U|p>."""
 
-    dim: int
-    path_index: int
     bracket: complex
     re_prob0_circuit: float
-    re_prob0_formula: float
     im_prob0_circuit: float
-    im_prob0_formula: float
 
     @property
     def max_deviation(self) -> float:
-        return max(
-            abs(self.re_prob0_circuit - self.re_prob0_formula),
-            abs(self.im_prob0_circuit - self.im_prob0_formula),
-        )
+        """Largest gap between the circuit's probabilities and bit_laws(bracket)."""
+        re_prob0, im_prob0 = bit_laws(self.bracket)
+        return max(abs(self.re_prob0_circuit - re_prob0), abs(self.im_prob0_circuit - im_prob0))
 
 
 # Largest gate hadamard_circuit_check simulates: the statevector holds 2 x dim amplitudes.
@@ -243,8 +238,6 @@ def hadamard_circuit_check(u: SectorOperator, p: int) -> CircuitCheckReport:
         raise SamplerError(f"dimension {dim} exceeds circuit-check limit {CIRCUIT_CHECK_MAX_DIM}")
     if not 0 <= p < dim:
         raise SamplerError(f"basis index {p} out of range for dimension {dim}")
-    a = complex(u.matrix[p, p])
-    re_prob0_formula, im_prob0_formula = bit_laws(a)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
     def run(phase_gate: bool) -> float:
@@ -258,12 +251,4 @@ def hadamard_circuit_check(u: SectorOperator, p: int) -> CircuitCheckReport:
         anc0, anc1 = inv_sqrt2 * (anc0 + anc1), inv_sqrt2 * (anc0 - anc1)  # H on ancilla
         return float(np.vdot(anc0, anc0).real)
 
-    return CircuitCheckReport(
-        dim=dim,
-        path_index=p,
-        bracket=a,
-        re_prob0_circuit=run(phase_gate=False),
-        re_prob0_formula=re_prob0_formula,
-        im_prob0_circuit=run(phase_gate=True),
-        im_prob0_formula=im_prob0_formula,
-    )
+    return CircuitCheckReport(complex(u.matrix[p, p]), run(phase_gate=False), run(phase_gate=True))

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from tljones.braids import (
@@ -47,7 +48,8 @@ class TestParse:
         assert word.letters == ((2, 1), (1, -1), (2, 1))
 
     def test_index_out_of_range(self):
-        with pytest.raises(BraidParseError, match="3"):
+        # BraidWord checks the range for text and JSON alike
+        with pytest.raises(BraidError, match="generator index 3 out of range"):
             parse_braid_word("3", 3)
 
     def test_zero_token(self):
@@ -194,3 +196,24 @@ class TestValidation:
     def test_bad_exponent(self):
         with pytest.raises(BraidError):
             BraidWord(3, ((1, 2),))
+
+    @pytest.mark.parametrize(
+        "strands, letters",
+        [(2.5, ()), (3.0, ()), (3, ((1.9, 1),)), (3, ((1, 1.0),))],
+        ids=["strands", "whole-float-strands", "index", "exponent"],
+    )
+    def test_non_integers_refused(self, strands, letters):
+        # int() would truncate them: BraidWord(3, ((1.9, 1),)) became ((1, 1),)
+        with pytest.raises(TypeError):
+            BraidWord(strands, letters)
+
+    def test_integer_likes_accepted(self):
+        word = BraidWord(np.int64(3), ((np.int64(2), np.int8(-1)),))
+        assert word.letters == ((2, -1),) and all(type(v) is int for v in word.letters[0])
+
+    @pytest.mark.parametrize("text", ["0", "1 0 1"])
+    def test_zero_refused_like_json(self, text):
+        with pytest.raises(BraidParseError, match="^0 is not a valid signed generator index$"):
+            parse_braid_word(text, 3)
+        with pytest.raises(BraidParseError, match="^0 is not a valid signed generator index$"):
+            BraidWord.from_json_dict({"strands": 3, "word": [int(v) for v in text.split()]})

@@ -1,5 +1,6 @@
-"""The verify suites' bookkeeping: one recorder counts every case, keeps the
-worst residual and writes one detail line per failure."""
+"""The verify suites' bookkeeping: each suite's CheckReport counts every case,
+keeps the worst residual, writes one detail line per failure, and passes when
+there is none."""
 
 import dataclasses
 import inspect
@@ -12,7 +13,7 @@ import pytest
 
 import tljones
 from tljones import checks, tl
-from tljones.checks import Tolerances, _Recorder, run_verification
+from tljones.checks import CheckReport, Tolerances, run_verification
 
 SUITES = (
     "tl_relations",
@@ -28,47 +29,44 @@ RESIDUAL_LINE = re.compile(r" \d\.\d\de[+-]\d{2,3}$")  # "{label} {residual:.2e}
 
 class TestRecorder:
     def test_residual_fails_only_above_its_bound(self):
-        rec = _Recorder()
-        rec.check(1e-12, 1e-12, "at the bound")
-        rec.check(3e-12, 1e-12, "above the bound")
-        rec.check(2e-13, 1e-12, "below the bound")
-        report = rec.report("suite")
+        report = CheckReport("suite")
+        report.check(1e-12, 1e-12, "at the bound")
+        report.check(3e-12, 1e-12, "above the bound")
+        report.check(2e-13, 1e-12, "below the bound")
         assert (report.name, report.passed, report.cases) == ("suite", False, 3)
         assert report.max_residual == 3e-12
         assert report.details == ["above the bound 3.00e-12"]
 
     def test_non_finite_residual_fails(self):
-        rec = _Recorder()
-        rec.check(float("nan"), 1e-12, "nan residual")
-        rec.check(float("inf"), 1e-12, "inf residual")
-        report = rec.report("suite")
+        report = CheckReport("suite")
+        report.check(float("nan"), 1e-12, "nan residual")
+        report.check(float("inf"), 1e-12, "inf residual")
         assert (report.passed, report.cases) == (False, 2)
         assert report.details == ["nan residual nan", "inf residual inf"]
         assert math.isnan(report.max_residual)
 
     @pytest.mark.parametrize("residuals", [(float("nan"), 1e-15), (1e-15, float("nan")), (3e-12, float("nan"), 0.5)])
     def test_nan_residual_is_the_max_residual_in_any_order(self, residuals):
-        rec = _Recorder()
+        report = CheckReport("suite")
         for residual in residuals:
-            rec.check(residual, 1e-12, "x")
-        assert math.isnan(rec.report("suite").max_residual)
+            report.check(residual, 1e-12, "x")
+        assert math.isnan(report.max_residual)
 
     def test_exact_comparison_keeps_its_label(self):
-        rec = _Recorder()
-        rec.holds(True, "holds")
-        rec.holds(False, "n=3: cyclicity failed")
-        report = rec.report("suite")
+        report = CheckReport("suite")
+        report.holds(True, "holds")
+        report.holds(False, "n=3: cyclicity failed")
         assert (report.passed, report.cases, report.max_residual) == (False, 2, 0.0)
         assert report.details == ["n=3: cyclicity failed"]
 
     def test_empty_recorder_passes_with_no_cases(self):
-        report = _Recorder().report("suite")
+        report = CheckReport("suite")
         assert (report.passed, report.cases, report.max_residual, report.details) == (True, 0, 0.0, [])
 
     def test_json_record_has_every_field(self):
-        rec = _Recorder()
-        rec.check(0.5, 0.25, "x")
-        assert rec.report("suite").to_json_dict() == {
+        report = CheckReport("suite")
+        report.check(0.5, 0.25, "x")
+        assert report.to_json_dict() == {
             "name": "suite", "passed": False, "max_residual": 0.5, "cases": 1, "details": ["x 5.00e-01"],
         }
 
@@ -147,7 +145,7 @@ class TestRepresentationWiring:
         tol = Tolerances(**{field: (j + 1) * 1e-3 for j, field in enumerate(fields)})  # one distinct bound per field
         bound_of = {label: getattr(tol, field) for field in fields for label in REPRESENTATION_LABELS[field]}
         seen = set()
-        check = _Recorder.check
+        check = CheckReport.check
 
         def spy(self, residual, bound, label):
             name = label.rsplit(": ", 1)[1]
@@ -155,7 +153,7 @@ class TestRepresentationWiring:
             seen.add(name)
             check(self, residual, bound, label)
 
-        monkeypatch.setattr(_Recorder, "check", spy)
+        monkeypatch.setattr(CheckReport, "check", spy)
         assert checks.check_representation(n_max=4, k_max=5, tol=tol).passed
         assert seen == set(bound_of)
 

@@ -208,6 +208,40 @@ class TestEvaluate:
         assert status == 2 and out == ""
         assert f"--k must be >= 3, got {k}" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--k", str(2**1023)],
+            ["evaluate", "--k", str(2**1024)],
+            ["evaluate", "--sweep-k", f"{2**1024}..{2**1024}"],
+            ["exact", "--sweep-k", f"{2**1024}..{2**1024}"],
+            ["sample", "--k", str(2**1023)],
+        ],
+        ids=["evaluate-2^1023", "evaluate-2^1024", "evaluate-sweep", "exact-sweep", "sample"],
+    )
+    def test_k_past_the_float_range_refused(self, capsys, argv):
+        # pi / (2k) needs 2k as a float; the message must not echo k's 300-odd digits
+        status, out, err = run_cli(capsys, argv[0], "--braid", "1", "--strands", "2", *argv[1:])
+        assert (status, out) == (2, "")
+        assert err.startswith("error: k is too large") and len(err.splitlines()) == 1 and len(err) < 200
+
+    def test_deeply_nested_braid_file_refused(self, capsys, tmp_path):
+        path = tmp_path / "braid.json"
+        path.write_text("[" * 100000)
+        status, out, err = run_cli(capsys, "evaluate", "--braid-file", str(path), "--k", "5")
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: cannot load braid file {path}: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "braid, message",
+        [("1 -5 2", "generator index 5 out of range [1, 2]"), ("1 0 2", "0 is not a valid signed generator index")],
+        ids=["out-of-range", "zero"],
+    )
+    def test_braid_token_messages(self, capsys, braid, message):
+        # text and JSON braids share one letter decoder, so they fail with the same line
+        status, out, err = run_cli(capsys, "evaluate", "--braid", braid, "--strands", "3", "--k", "5")
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
     def test_parse_error_status(self, capsys):
         status, _, err = run_cli(
             capsys, "evaluate", "--braid", "9", "--strands", "2", "--k", "5"

@@ -18,7 +18,7 @@ class TestWeightedTrace:
     def test_identity_operators_give_one(self):
         basis = enumerate_paths(4, 6)
         ops = {
-            m: SectorOperator(m, np.eye(len(basis.sectors[m]), dtype=complex))
+            m: SectorOperator(np.eye(len(basis.sectors[m]), dtype=complex))
             for m in basis.nonempty_sectors()
         }
         assert weighted_trace(basis, ops) == pytest.approx(1.0)
@@ -36,13 +36,13 @@ class TestWeightedTrace:
             diag = np.zeros(dim, dtype=complex)
             if dim >= 2:
                 diag[0], diag[1] = 1j, -1j
-            ops[m] = SectorOperator(m, np.diag(diag))
+            ops[m] = SectorOperator(np.diag(diag))
         assert abs(weighted_trace(basis, ops)) <= 1e-12
 
     def test_missing_sector_rejected(self):
         basis = enumerate_paths(3, 5)
         ops = {
-            m: SectorOperator(m, np.eye(len(basis.sectors[m]), dtype=complex))
+            m: SectorOperator(np.eye(len(basis.sectors[m]), dtype=complex))
             for m in basis.nonempty_sectors()
         }
         ops.pop(basis.nonempty_sectors()[0])

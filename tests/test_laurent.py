@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +33,17 @@ class TestArithmetic:
     def test_zero_normalization(self):
         assert LaurentPoly({3: 0, 1: 2}).coeffs == {1: 2}
         assert LaurentPoly({}).is_zero()
+
+    @pytest.mark.parametrize("coeffs", [{0: 1.5, 2.7: 3}, {0: 0.4}, {1.0: 2}], ids=["both", "below-one", "float-exponent"])
+    def test_non_integers_refused(self, coeffs):
+        # int() would truncate them, and {0: 0.4} would store a zero coefficient
+        with pytest.raises(TypeError):
+            LaurentPoly(coeffs)
+
+    def test_integer_likes_accepted(self):
+        poly = LaurentPoly({np.int64(2): np.int64(-3), 0: np.int32(0), -1: 1})
+        assert poly.coeffs == {2: -3, -1: 1}
+        assert all(type(v) is int for pair in poly.coeffs.items() for v in pair)
 
     def test_add_sub(self):
         a = LaurentPoly({0: 1, 2: 3})

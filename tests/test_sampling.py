@@ -26,7 +26,7 @@ from tljones.sampling import (
 
 
 def scalar_op(value: complex) -> SectorOperator:
-    return SectorOperator(1, np.array([[value]], dtype=complex))
+    return SectorOperator(np.array([[value]], dtype=complex))
 
 
 def hadamard_test_re(u: SectorOperator, p: int, rng: np.random.Generator) -> int:
@@ -183,7 +183,7 @@ class TestHadamardBits:
         draws = 10**5
         for case in range(20):
             dim = int(nprng.integers(1, 5))
-            u = SectorOperator(1, random_unitary(nprng, dim))
+            u = SectorOperator(random_unitary(nprng, dim))
             p = int(nprng.integers(0, dim))
             a = complex(u.matrix[p, p])
             p0_re = 0.5 + 0.5 * a.real
@@ -219,7 +219,7 @@ class TestEstimateBracket:
         assert _draw_brackets(np.array([-1 + 0j]), 50, bit_stream(0))[0].real == -1.0
 
     def test_bracket_06_golden(self):
-        a = complex(SectorOperator(1, np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)).matrix[0, 0])
+        a = complex(SectorOperator(np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)).matrix[0, 0])
         assert forced_bracket(a) is None
         est = _draw_brackets(np.array([a]), 10**5, bit_stream(7))[0]
         assert est == (0.59892 + 0.00168j)  # frozen seeded regression value
@@ -487,7 +487,7 @@ class TestCircuitCheck:
         nprng = np.random.default_rng(1)
         for _ in range(25):
             dim = int(nprng.integers(1, 6))
-            u = SectorOperator(1, random_unitary(nprng, dim))
+            u = SectorOperator(random_unitary(nprng, dim))
             p = int(nprng.integers(0, dim))
             assert hadamard_circuit_check(u, p).max_deviation <= 1e-12
 
@@ -506,4 +506,4 @@ class TestCircuitCheck:
 
     def test_dimension_limit(self):
         with pytest.raises(SamplerError, match="dimension"):
-            hadamard_circuit_check(SectorOperator(1, np.eye(65, dtype=complex)), 0)
+            hadamard_circuit_check(SectorOperator(np.eye(65, dtype=complex)), 0)
