@@ -13,14 +13,13 @@ from tljones import (
     jones_rep,
     markov_trace,
     parse_braid_word,
-    verify_tl_relations,
     writhe,
 )
+from tljones.checks import check_tl_relations
 
 print("=== Defining relations, symbolically exact ===")
-for n in (2, 3, 4, 5):
-    report = verify_tl_relations(n)
-    print(f"  n={n}: {len(report.results)} relation/associativity checks, all pass: {report.passed}")
+report = check_tl_relations(n_max=5)
+print(f"  n=2..5: {report.cases} relation/associativity checks, all pass: {report.passed}")
 
 print()
 print("=== Generator arithmetic ===")

@@ -52,7 +52,6 @@ from .tl import (
     jones_polynomial,
     jones_rep,
     markov_trace,
-    verify_tl_relations,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +97,6 @@ __all__ = [
     "product",
     "run_verification",
     "sample_jones_value",
-    "verify_tl_relations",
     "weighted_trace",
     "writhe",
 ]

@@ -76,6 +76,8 @@ class ModelParams:
         if n < 1:
             raise PathModelError(f"n must be >= 1, got {n}")
         lam = [0.0] + [math.sin(math.pi * ell / k) for ell in range(1, min(k, n + 3))]
+        if lam[1] ** 2 < 2.0**-1022:  # the least normal float; every product of two weights is >= lam[1]^2
+            raise PathModelError(f"k is too large: the path weights' products underflow a float ({k.bit_length()}-bit k)")
         if k <= n + 2:
             lam.append(0.0)
         return cls(k, n, 2.0 * math.cos(math.pi / k), a_value, tuple(lam))

@@ -345,46 +345,6 @@ def jones_polynomial(word: BraidWord) -> LaurentPoly:
     return times_d(trace.numerator, word.strands - 1 - trace.d_power) * writhe_prefactor(writhe(word))
 
 
-@dataclasses.dataclass(frozen=True)
-class RelationReport:
-    """Outcome of the symbolic defining-relation checks for one strand count."""
-
-    n: int
-    results: tuple[tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.results)
-
-
-def verify_tl_relations(n: int, sample_count: int = 10, seed: int = 0) -> RelationReport:
-    """Check the defining relations of the algebra symbolically, plus random
-    associativity triples; every check is exact polynomial equality."""
-    import random
-
-    if n < 2:
-        raise TLError("relations require n >= 2")
-    results: list[tuple[str, bool]] = []
-    gens = {i: TLElement.generator(n, i) for i in range(1, n)}
-    for i in range(1, n):
-        lhs = gens[i] * gens[i]
-        results.append((f"E{i}^2 = d E{i}", lhs == gens[i].scaled(LOOP_WEIGHT)))
-    for i in range(1, n):
-        for j in (i - 1, i + 1):
-            if 1 <= j <= n - 1:
-                lhs = gens[i] * gens[j] * gens[i]
-                results.append((f"E{i} E{j} E{i} = E{i}", lhs == gens[i]))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            results.append((f"E{i} E{j} = E{j} E{i}", gens[i] * gens[j] == gens[j] * gens[i]))
-    rng = random.Random(seed)
-    for case in range(sample_count):
-        x, y, z = (random_generator_word(n, rng.randint(0, 6), rng) for _ in range(3))
-        ok = (x * y) * z == x * (y * z)
-        results.append((f"associativity sample {case}", ok))
-    return RelationReport(n, tuple(results))
-
-
 def generator_word(n: int, indices: Iterable[int]) -> TLElement:
     """E_(i_1) E_(i_2) ... (identity for no indices): one diagram times d^loops.
 

@@ -24,7 +24,7 @@ from tljones.cli import main as cli_main
 from tljones.evaluation import jones_value_exact, markov_trace_pathmodel
 from tljones.pathmodel import enumerate_paths, global_gate
 from tljones.sampling import SamplerConfig, hadamard_circuit_check, sample_jones_value
-from tljones.tl import TLElement, jones_polynomial, markov_trace, verify_tl_relations
+from tljones.tl import TLElement, jones_polynomial, markov_trace
 
 
 def report(number: int, name: str, passed: bool, detail: str) -> None:
@@ -33,9 +33,7 @@ def report(number: int, name: str, passed: bool, detail: str) -> None:
 
 
 def test_criterion_1_oracle_self_consistency():
-    relation_ok = True
-    for n in range(2, 7):
-        relation_ok &= verify_tl_relations(n, sample_count=10, seed=n).passed
+    relation_ok = checks.check_tl_relations(n_max=6, samples=10, seed=0).passed
     axioms = checks.check_trace_axioms(n_max=6, samples=50, seed=1)
     passed = relation_ok and axioms.passed
     report(1, "oracle self-consistency", passed,

@@ -71,12 +71,55 @@ class TestRecorder:
         }
 
 
+def _relation_cases(monkeypatch, **sizes) -> list[tuple[bool, str]]:
+    """Every (ok, label) check_tl_relations records, passing or not."""
+    cases = []
+    monkeypatch.setattr(CheckReport, "holds", lambda self, ok, label: cases.append((ok, label)))
+    checks.check_tl_relations(**sizes)
+    return cases
+
+
+class TestRelations:
+    def test_n3_passes(self):
+        assert checks.check_tl_relations(n_max=3).passed
+
+    def test_n2_only_square_relation(self, monkeypatch):
+        assert _relation_cases(monkeypatch, n_max=2, samples=0) == [(True, "n=2: E1^2 = d E1")]
+
+    def test_n5_distant_commutation_present(self, monkeypatch):
+        # 1 + 4 + 8 + 13 relations for n = 2..5; the 13 at n=5 include the three distant commutations
+        cases = _relation_cases(monkeypatch, n_max=5, samples=0)
+        assert len(cases) == 26 and all(ok for ok, _ in cases)
+        at_5 = [label for _, label in cases if label.startswith("n=5: ")]
+        assert len(at_5) == 13
+        assert {"n=5: E1 E3 = E3 E1", "n=5: E1 E4 = E4 E1", "n=5: E2 E4 = E4 E2"} <= set(at_5)
+
+
 class TestSuiteCases:
     def test_cases_per_suite_pinned(self):
         reports = run_verification(n_max=4, k_max=5, samples=5, seed=0)
         assert [r.name for r in reports] == list(SUITES)
         assert [r.cases for r in reports] == [43, 33, 176, 5, 72, 19]
         assert all(r.passed and not r.details for r in reports)
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [({"n_max": 1}, "n_max must be >= 2, got 1"), ({"k_max": 2}, "k_max must be >= 3, got 2"),
+         ({"samples": 0}, "samples must be >= 1, got 0")],
+        ids=["n_max", "k_max", "samples"],
+    )
+    def test_empty_grid_refused(self, sizes, message):
+        # each would leave a suite with no case, which passes having checked nothing (or die inside randrange)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_verification(**({"n_max": 3, "k_max": 4, "samples": 2} | sizes))
+
+    def test_estimate_sums_every_k_in_closed_form(self):
+        # the walk counts stop changing at k = n + 2, so the estimate multiplies instead of looping over k
+        for n_max in range(2, 9):
+            for k_max in range(3, 15):
+                grid = sum(checks._grid_work(n, k) for n in range(2, n_max + 1) for k in range(3, k_max + 1))
+                # n_max = 1 leaves only the per-k and per-sample terms
+                assert checks._estimated_work(n_max, k_max, 7) - checks._estimated_work(1, k_max, 7) == grid, (n_max, k_max)
 
     def test_zero_tolerances_fail_every_floating_suite(self):
         zero = Tolerances(**{f.name: 0.0 for f in dataclasses.fields(Tolerances)} | {"unitarity": 1e-30})
@@ -93,13 +136,11 @@ class TestSuiteCases:
                 assert RESIDUAL_LINE.search(line), line
 
     def test_failed_relation_is_one_detail(self, monkeypatch):
-        def one_failure(n, sample_count, seed):
-            return tl.RelationReport(n, (("E1^2 = d E1", True), ("associativity sample 0", False)))
-
-        monkeypatch.setattr(checks.tl, "verify_tl_relations", one_failure)
-        report = checks.check_tl_relations(n_max=3)
-        assert (report.passed, report.cases) == (False, 4)
-        assert report.details == ["n=2: associativity sample 0", "n=3: associativity sample 0"]
+        # with a loop weight of 1 every square relation fails, and nothing else does
+        monkeypatch.setattr(checks.tl, "LOOP_WEIGHT", tl.LaurentPoly.one())
+        report = checks.check_tl_relations(n_max=3, samples=1)
+        assert (report.passed, report.cases) == (False, 7)
+        assert report.details == ["n=2: E1^2 = d E1", "n=3: E1^2 = d E1", "n=3: E2^2 = d E2"]
 
     @pytest.mark.parametrize(
         "power, failing",

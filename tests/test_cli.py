@@ -64,10 +64,14 @@ FROZEN_LARGE_INPUTS = [
         ["evaluate", "--braid", "1 -2 3", "--strands", "100", "--k", "3"],
         '{"a_value": [0.49999999999999994, 0.8660254037844387], "d": 1.0000000000000002, "k": 3, "method": "exact-path-model", "n": 100, "normalization": 0.8660254037844386, "prefactor": [1.0, 2.7755575615628914e-16], "prefactor_rule": "(-A^3)^writhe", "value": [1.0000000000000215, 8.326672684688855e-16], "weighted_trace": [0.9999999999999997, 5.551115123125782e-16], "word": [1, -2, 3], "writhe": 1}\n',
     ),
+    (  # the largest power of ten whose path-weight products stay normal floats; V(t -> 1) = 1
+        ["evaluate", "--braid", "1 -2 1 -2", "--strands", "3", "--k", str(10**154)],
+        '{"a_value": [1.5707963267948964e-154, 1.0], "d": 2.0, "k": ' + str(10**154) + ', "method": "exact-path-model", "n": 3, "normalization": 2.513274122871834e-153, "prefactor": [1.0, 0.0], "prefactor_rule": "(-A^3)^writhe", "value": [1.0000000000000002, 6.2906391798019296e-170], "weighted_trace": [0.25000000000000006, 1.5726597949504824e-170], "word": [1, -2, 1, -2], "writhe": 0}\n',
+    ),
 ]
 
 
-@pytest.mark.parametrize(("argv", "expected"), FROZEN_LARGE_INPUTS, ids=["evaluate-k1e7", "sample-k5e6", "evaluate-n100-k3"])
+@pytest.mark.parametrize(("argv", "expected"), FROZEN_LARGE_INPUTS, ids=["evaluate-k1e7", "sample-k5e6", "evaluate-n100-k3", "evaluate-k1e154"])
 def test_large_k_and_n_print_frozen_bytes_quickly(capsys, argv, expected):
     # lambda is stored only up to height n + 2, so a huge k costs no more than k = n + 2
     start = time.perf_counter()
@@ -216,14 +220,25 @@ class TestEvaluate:
             ["evaluate", "--sweep-k", f"{2**1024}..{2**1024}"],
             ["exact", "--sweep-k", f"{2**1024}..{2**1024}"],
             ["sample", "--k", str(2**1023)],
+            ["evaluate", "--k", str(10**160)],
+            ["evaluate", "--k", str(10**200)],
+            ["evaluate", "--sweep-k", f"{10**160}..{10**160}"],
+            ["sample", "--k", str(10**200)],
         ],
-        ids=["evaluate-2^1023", "evaluate-2^1024", "evaluate-sweep", "exact-sweep", "sample"],
+        ids=["evaluate-2^1023", "evaluate-2^1024", "evaluate-sweep", "exact-sweep", "sample",
+             "evaluate-1e160", "evaluate-1e200", "evaluate-sweep-1e160", "sample-1e200"],
     )
     def test_k_past_the_float_range_refused(self, capsys, argv):
-        # pi / (2k) needs 2k as a float; the message must not echo k's 300-odd digits
+        # pi / (2k) needs 2k as a float, and from k of about 2.1e154 the path weights' products underflow
+        # (the figure-eight, whose value tends to 1, read 2.5 at k = 1e200); the message must not echo k's digits
         status, out, err = run_cli(capsys, argv[0], "--braid", "1", "--strands", "2", *argv[1:])
         assert (status, out) == (2, "")
         assert err.startswith("error: k is too large") and len(err.splitlines()) == 1 and len(err) < 200
+
+    def test_exact_sweep_reads_no_weights(self, capsys):
+        status, out, err = run_cli(capsys, "exact", "--braid", "1 -2 1 -2", "--strands", "3", "--sweep-k", f"{10**200}..{10**200}")
+        assert (status, err) == (0, "")
+        assert load_json(out)["sweep"][0]["value"] == [1.0, 0.0]
 
     def test_deeply_nested_braid_file_refused(self, capsys, tmp_path):
         path = tmp_path / "braid.json"
@@ -398,6 +413,28 @@ class TestVerify:
         with pytest.raises(SystemExit) as exit_info:
             main(["verify", "--profile", "strict"])
         assert exit_info.value.code == 2 and "--profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "3", "--k", str(2**1024), "--samples", "1"],
+            ["--n", "40", "--k", "40", "--samples", "1"],
+            ["--n", "2", "--k", "1000000"],
+            ["--samples", "1000000000"],
+        ],
+        ids=["k-2^1024", "n40-k40", "k-1e6", "samples-1e9"],
+    )
+    def test_over_budget_refused_before_any_suite(self, argv):
+        # in a child process, so that a grid that does run is cut by the timeout instead of hanging the suite
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        start = time.perf_counter()
+        completed = subprocess.run([sys.executable, "-m", "tljones.cli", "verify", *argv], env={**os.environ, "PYTHONPATH": path},
+                                   capture_output=True, text=True, timeout=30)
+        assert (completed.returncode, completed.stdout) == (2, "")
+        assert completed.stderr.startswith("error: verification is estimated at over 60 s of work")
+        assert len(completed.stderr.splitlines()) == 1
+        assert time.perf_counter() - start < 10
 
     def test_verify_never_imports_numpy_random(self):
         # numpy.random costs about 2 MB of resident memory, and verify draws no random numbers.

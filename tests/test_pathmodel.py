@@ -236,6 +236,12 @@ class TestParameters:
             assert len(params.lam) == 8 and params.lam[0] == 0.0 and params.lam[7] == 0.0
             assert all(params.lam[ell] > 0 for ell in range(1, 7))
 
+    @pytest.mark.parametrize("k", [10**160, 10**200])
+    def test_subnormal_weight_products_refused(self, k):
+        # sqrt(lambda_(h-1) lambda_(h+1)) loses bits once lambda_1^2 is subnormal, from k of about 2.1e154
+        with pytest.raises(PathModelError, match=rf"^k is too large: .* \({k.bit_length()}-bit k\)$"):
+            ModelParams.create(k, 3)
+
     @pytest.mark.parametrize(("k", "n"), [(3, 1), (7, 2), (7, 5), (12, 3), (10**9, 2)])
     def test_lambda_values(self, k, n):
         lam = ModelParams.create(k, n).lam

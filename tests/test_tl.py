@@ -25,7 +25,6 @@ from tljones.tl import (
     random_generator_word,
     stack_matchings,
     times_d,
-    verify_tl_relations,
 )
 
 # Golden values computed by the independent state-sum oracle before the
@@ -259,21 +258,6 @@ class TestPartnerTableStacking:
     def test_table_order_is_pairs_order(self):
         basis = all_matchings(5)
         assert sorted(basis) == sorted(basis, key=lambda m: m.pairs)
-
-
-class TestRelationsReport:
-    def test_n3_passes(self):
-        assert verify_tl_relations(3).passed
-
-    def test_n2_only_square_relation(self):
-        report = verify_tl_relations(2, sample_count=0)
-        assert report.passed
-        assert [name for name, _ in report.results] == ["E1^2 = d E1"]
-
-    def test_n5_distant_commutation_present(self):
-        report = verify_tl_relations(5)
-        assert report.passed
-        assert any("E1 E4 = E4 E1" in name for name, _ in report.results)
 
 
 class TestMarkovTrace:
