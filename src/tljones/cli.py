@@ -6,7 +6,8 @@ estimation), verify (relation/axiom/invariance suites).
 
 Output is a single JSON document on stdout (CSV only for --sweep-k when
 requested); all diagnostics go to stderr. Exit status: 0 on success or an
-all-pass verify, 1 on verification failure, 2 on bad input.
+all-pass verify, 1 on verification failure, 2 on bad input, 3 on an internal
+error (a defect, reported as one "internal error: <Type>: <message>" line).
 """
 
 from __future__ import annotations
@@ -227,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # CliError and every library input error subclass it
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, kept apart from bad input (2) and a failed verification (1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

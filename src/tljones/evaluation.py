@@ -19,12 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .braids import BraidWord, writhe
-from .pathmodel import ModelParams, PathBasis, PathModelError, SectorOperator, enumerate_paths, global_gate, sector_products
-
-
-def writhe_prefactor_numeric(params: ModelParams, w: int) -> complex:
-    """(-A^3)^w at the model's numeric phase."""
-    return (-params.a_value**3) ** w
+from .pathmodel import PathBasis, PathModelError, SectorOperator, enumerate_paths, global_gate, sector_products
 
 
 def weighted_trace(basis: PathBasis, operators: Mapping[int, SectorOperator]) -> complex:
@@ -42,15 +37,6 @@ def weighted_trace(basis: PathBasis, operators: Mapping[int, SectorOperator]) ->
     return total / basis.normalization()
 
 
-def scale_trace(params: ModelParams, w: int, trace: complex) -> complex:
-    """Apply the writhe prefactor and the d^(n-1) factor to a weighted trace.
-
-    Shared by the exact evaluator and the sampler so that a sampled trace
-    that happens to be exact reproduces the exact value bit for bit.
-    """
-    return writhe_prefactor_numeric(params, w) * params.d ** (params.n - 1) * trace
-
-
 @dataclasses.dataclass(frozen=True)
 class EvaluationResult:
     """One Jones-value evaluation with enough provenance to recompute it.
@@ -62,7 +48,7 @@ class EvaluationResult:
     error_confidence.
     """
 
-    method: str  # "exact-path-model" | "oracle" | "sampled"
+    method: str  # "exact-path-model" | "sampled"
     k: int
     n: int
     word: tuple[int, ...]
@@ -100,9 +86,14 @@ class EvaluationResult:
 
 
 def evaluation_result(basis: PathBasis, word: BraidWord, wtrace: complex, method: str) -> EvaluationResult:
-    """The record of a weighted trace of the braid's gates, scaled to a Jones value."""
+    """The record of a weighted trace of the braid's gates, scaled to a Jones value.
+
+    The exact evaluator and the sampler both scale here, so a sampled trace
+    that happens to be exact reproduces the exact value bit for bit.
+    """
     params = basis.params
     w = writhe(word)
+    prefactor = (-params.a_value**3) ** w
     return EvaluationResult(
         method=method,
         k=params.k,
@@ -113,8 +104,8 @@ def evaluation_result(basis: PathBasis, word: BraidWord, wtrace: complex, method
         d=params.d,
         normalization=basis.normalization(),
         weighted_trace=wtrace,
-        prefactor=writhe_prefactor_numeric(params, w),
-        value=scale_trace(params, w, wtrace),
+        prefactor=prefactor,
+        value=prefactor * params.d ** (params.n - 1) * wtrace,
     )
 
 

@@ -216,20 +216,13 @@ def _word_product(basis: PathBasis, m: int, letters, dtype) -> np.ndarray:
 
 def braid_gen_unitary(basis: PathBasis, i: int, exponent: int, m: int) -> SectorOperator:
     """Gate for one braid letter on sector m: the one-letter braid word."""
-    return _braid_product(basis, BraidWord(basis.n, ((i, exponent),)), m)
+    return global_gate(basis, BraidWord(basis.n, ((i, exponent),)), m)
 
 
 def global_gate(basis: PathBasis, word: BraidWord, m: int) -> SectorOperator:
-    """Ordered product of the per-letter gates for a whole braid word on sector m."""
+    """The word's letters as gates on sector m, in order: b_i is A Phi_i + A^-1 I, b_i^-1 is A^-1 Phi_i + A I."""
     if word.strands != basis.n:
-        raise PathModelError(
-            f"braid on {word.strands} strands does not act on walks of length {basis.n}"
-        )
-    return _braid_product(basis, word, m)
-
-
-def _braid_product(basis: PathBasis, word: BraidWord, m: int) -> SectorOperator:
-    """The word's letters as gates on sector m: b_i is A Phi_i + A^-1 I, b_i^-1 is A^-1 Phi_i + A I."""
+        raise PathModelError(f"braid on {word.strands} strands does not act on walks of length {basis.n}")
     if m not in basis.sectors:
         raise PathModelError(f"sector {m} is empty at n={basis.n}, k={basis.k}")
     a = basis.params.a_value

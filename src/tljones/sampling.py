@@ -48,7 +48,7 @@ import math
 import numpy as np
 
 from .braids import BraidWord
-from .evaluation import EvaluationResult, build_gates, evaluation_result, scale_trace, weighted_trace
+from .evaluation import EvaluationResult, build_gates, evaluation_result, weighted_trace
 from .pathmodel import SectorOperator, enumerate_paths
 
 
@@ -192,7 +192,7 @@ def sample_jones_value(word: BraidWord, k: int, config: SamplerConfig) -> Evalua
         raw += params.lam[m] * sector_sum
 
     result = evaluation_result(basis, word, raw / basis.normalization(), "sampled")
-    exact_value = scale_trace(params, result.writhe, weighted_trace(basis, gates))
+    exact_value = evaluation_result(basis, word, weighted_trace(basis, gates), "exact-path-model").value
     t = math.sqrt(2.0 * math.log(4.0 / config.delta) * drawn_weight / iterations)
     return dataclasses.replace(
         result,

@@ -99,7 +99,7 @@ class TestSuiteCases:
     def test_cases_per_suite_pinned(self):
         reports = run_verification(n_max=4, k_max=5, samples=5, seed=0)
         assert [r.name for r in reports] == list(SUITES)
-        assert [r.cases for r in reports] == [43, 33, 176, 5, 72, 19]
+        assert [r.cases for r in reports] == [43, 33, 163, 5, 72, 19]
         assert all(r.passed and not r.details for r in reports)
 
     @pytest.mark.parametrize(
@@ -234,6 +234,22 @@ class TestExactCases:
         assert not report.passed
         assert "n=4 k=5 (1,3) m=3: commutation" in report.details
         assert not [line for line in report.details if line.endswith("symmetry")]
+
+
+def test_exact_cases_only_on_sectors_that_can_fail_them(monkeypatch):
+    # at k = 3 every sector holds one walk, and a 1x1 block is symmetric and commutes with every other,
+    # so neither comparison is a case there; the floating residuals still are
+    labels = []
+    holds = CheckReport.holds
+
+    def spy(self, ok, label):
+        labels.append(label)
+        holds(self, ok, label)
+
+    monkeypatch.setattr(CheckReport, "holds", spy)
+    report = checks.check_representation(n_max=8, k_max=3)
+    assert report.passed and report.cases > 0
+    assert not [label for label in labels if label.endswith(("symmetry", "commutation"))], labels
 
 
 def test_public_names_are_exactly_the_bound_names():

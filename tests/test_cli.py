@@ -95,6 +95,16 @@ def test_oversized_braid_image_refused_with_one_line(capsys, monkeypatch):
     assert err.startswith("error: braid image passed MAX_IMAGE_TERMS = 3 ") and len(err.splitlines()) == 1
 
 
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    # a defect is neither bad input (2) nor a failed verification (1), and prints no traceback
+    def broken(n, k):
+        raise RuntimeError("walk count went wrong")
+
+    monkeypatch.setattr(tljones.cli, "count_walks", broken)
+    status, out, err = run_cli(capsys, "paths", "--n", "3", "--k", "5")
+    assert (status, out, err) == (3, "", "internal error: RuntimeError: walk count went wrong\n")
+
+
 class TestExact:
     def test_trefoil_polynomial(self, capsys):
         status, out, _ = run_cli(capsys, "exact", "--braid", "1 1 1", "--strands", "2")
