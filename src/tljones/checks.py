@@ -19,7 +19,7 @@ import numpy as np
 
 from . import braids, tl
 from .braids import BraidWord, parse_braid_word
-from .evaluation import jones_value_exact, markov_trace_pathmodel
+from .evaluation import exact_on, markov_trace_pathmodel
 from .pathmodel import adjacency_eigen_check, braid_gen_unitary, count_walks, enumerate_paths, sector_products
 
 
@@ -166,13 +166,16 @@ def check_trace_compatibility(
 ) -> CheckReport:
     """|weighted trace of a generator word - symbolic trace at the phase|, on n <= 5 strands and up to 10 letters."""
     rng = random.Random(seed)
-    rec = CheckReport("trace_compatibility")
+    cases = []
     for _ in range(samples):
         n = rng.randint(2, 5)
         k = rng.randint(3, k_max)
         length = rng.randint(0, 10)
-        indices = [rng.randint(1, n - 1) for _ in range(length)]
-        basis = enumerate_paths(n, k)
+        cases.append((n, k, [rng.randint(1, n - 1) for _ in range(length)]))
+    bases = {key: enumerate_paths(*key) for key in {(n, k) for n, k, _ in cases}}
+    rec = CheckReport("trace_compatibility")
+    for n, k, indices in cases:
+        basis = bases[n, k]
         numeric = markov_trace_pathmodel(basis, indices)
         symbolic = tl.markov_trace(tl.generator_word(n, indices)).evaluate(basis.params.a_value)
         rec.check(abs(numeric - symbolic), tol.trace_compat, f"n={n} k={k} word={indices}: residual")
@@ -196,13 +199,17 @@ def check_oracle_equivalence(
     rng = random.Random(seed)
     words = list(standard_braid_suite().values())
     words += [braids.random_braid(rng, max_strands=4, max_length=8) for _ in range(20)]
+    polys = [tl.jones_polynomial(word) for word in words]
+    residuals = {}  # (word index, k) -> residual: one k at a time, so only that k's bases are held; recorded per word below
+    for k in range(3, k_max + 1):
+        bases = {n: enumerate_paths(n, k) for n in {word.strands for word in words}}
+        for j, (word, poly) in enumerate(zip(words, polys)):
+            result = exact_on(bases[word.strands], word)
+            residuals[j, k] = abs(result.value - poly.evaluate(result.a_value))
     rec = CheckReport("oracle_equivalence")
-    for word in words:
-        poly = tl.jones_polynomial(word)
+    for j, word in enumerate(words):
         for k in range(3, k_max + 1):
-            result = jones_value_exact(word, k)
-            rec.check(abs(result.value - poly.evaluate(result.a_value)), tol.oracle_match,
-                      f"word={list(word.signed_indices())} n={word.strands} k={k}: residual")
+            rec.check(residuals[j, k], tol.oracle_match, f"word={list(word.signed_indices())} n={word.strands} k={k}: residual")
     return rec
 
 
@@ -212,37 +219,42 @@ def check_knot_sanity(
     """V(unknot) = 1 at every k; V = 1 at k=3 for every knot closure; and
     exact-value invariance under conjugation and both stabilizations."""
     rng = random.Random(seed)
-    rec = CheckReport("knot_sanity")
     unknot = parse_braid_word("1", 2)
-    for k in range(3, k_max + 1):
-        rec.check(abs(jones_value_exact(unknot, k).value - 1.0), tol.oracle_match, f"unknot at k={k}: residual")
-    for _ in range(samples):
-        word = braids.random_braid(rng, max_strands=4, max_length=8)
-        if braids.closure_component_count(word) == 1:
-            rec.check(abs(jones_value_exact(word, 3).value - 1.0), tol.oracle_match,
-                      f"knot {list(word.signed_indices())} n={word.strands} at k=3: residual")
+    knots = [word for word in (braids.random_braid(rng, max_strands=4, max_length=8) for _ in range(samples))
+             if braids.closure_component_count(word) == 1]
+    moves = []  # (k, word, its conjugate, its two stabilizations)
     for _ in range(samples):
         word = braids.random_braid(rng, max_strands=4, max_length=6)
         conj = braids.random_braid(rng, max_strands=word.strands, min_strands=word.strands, max_length=4)
         k = rng.randint(3, 8)
-        base = jones_value_exact(word, k).value
-        moved = [
-            jones_value_exact(braids.markov_conjugate(word, conj), k).value,
-            jones_value_exact(braids.markov_stabilize(word, 1), k).value,
-            jones_value_exact(braids.markov_stabilize(word, -1), k).value,
-        ]
-        for tag, value in zip(("conjugate", "stabilize+", "stabilize-"), moved):
-            rec.check(abs(value - base), tol.oracle_match, f"{tag} of {list(word.signed_indices())} at k={k}: residual")
+        moves.append((k, word, braids.markov_conjugate(word, conj), braids.markov_stabilize(word, 1),
+                      braids.markov_stabilize(word, -1)))
+    keys = {(2, k) for k in range(3, k_max + 1)} | {(word.strands, 3) for word in knots}
+    bases = {key: enumerate_paths(*key) for key in keys | {(word.strands, k) for k, *words in moves for word in words}}
+
+    def value(word: BraidWord, k: int) -> complex:
+        return exact_on(bases[word.strands, k], word).value
+
+    rec = CheckReport("knot_sanity")
+    for k in range(3, k_max + 1):
+        rec.check(abs(value(unknot, k) - 1.0), tol.oracle_match, f"unknot at k={k}: residual")
+    for word in knots:
+        rec.check(abs(value(word, 3) - 1.0), tol.oracle_match,
+                  f"knot {list(word.signed_indices())} n={word.strands} at k=3: residual")
+    for k, word, *moved in moves:
+        base = value(word, k)
+        for tag, other in zip(("conjugate", "stabilize+", "stabilize-"), moved):
+            rec.check(abs(value(other, k) - base), tol.oracle_match, f"{tag} of {list(word.signed_indices())} at k={k}: residual")
     return rec
 
 
 # Largest estimated run_verification, in ns at rates measured warm on a 2-vCPU host: 6 ms a k, 2 ms a sample, and at each
-# (n, k), per sector of dimension dim, 150 us a generator block, 3 us per n^2 (commutation pairs), 2 ns per (n - 1) dim^3.
+# (n, k), per sector of dimension dim, 150 us a generator block, 2 ns per (n - 1) dim^3, 3 us per n^2 if dim > 1 (commutation).
 VERIFY_BUDGET_NS = 60 * 10**9
 
 
 def _grid_work(n: int, k: int) -> int:
-    return sum((n - 1) * (150_000 + 2 * dim**3) + 3_000 * n * n for dim in count_walks(n, k).values())
+    return sum((n - 1) * (150_000 + 2 * dim**3) + 3_000 * n * n * (dim > 1) for dim in count_walks(n, k).values())
 
 
 def _estimated_work(n_max: int, k_max: int, samples: int) -> int:

@@ -149,8 +149,6 @@ def _run_exact(args: argparse.Namespace) -> int:
         document["t_unavailable_reason"] = str(exc)
     if args.sweep_k:
         return _emit_sweep(args, document, lambda k: poly_a.evaluate(choose_a(k)))
-    if args.format == "csv":
-        raise CliError("--format csv is only available with --sweep-k")
     _emit(document)
     return 0
 
@@ -163,8 +161,6 @@ def _run_evaluate(args: argparse.Namespace) -> int:
         raise CliError(f"--k must be >= 3, got {args.k}")
     if args.sweep_k:
         return _emit_sweep(args, word.to_json_dict(), lambda k: jones_value_exact(word, k).value)
-    if args.format == "csv":
-        raise CliError("--format csv is only available with --sweep-k")
     result = jones_value_exact(word, args.k)
     _emit(result.to_json_dict())
     return 0
@@ -224,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _run_verify,
     }
     try:
+        if getattr(args, "format", None) == "csv" and not args.sweep_k:  # refused before any braid is read or evaluated
+            raise CliError("--format csv is only available with --sweep-k")
         return handlers[args.command](args)
     except ValueError as exc:  # CliError and every library input error subclass it
         print(f"error: {exc}", file=sys.stderr)

@@ -114,16 +114,17 @@ def build_gates(basis: PathBasis, word: BraidWord) -> dict[int, SectorOperator]:
     return {m: global_gate(basis, word, m) for m in basis.nonempty_sectors()}
 
 
-def jones_value_exact(word: BraidWord, k: int) -> EvaluationResult:
-    """Exact Jones value of the braid's closure at t = e^(2 pi i / k).
+def exact_on(basis: PathBasis, word: BraidWord) -> EvaluationResult:
+    """Exact Jones value of the braid's closure on a walk basis for its strand count.
 
-    Builds the walk basis for the braid's strand count, the per-sector gates,
-    and the weighted trace; agrees with the symbolic oracle evaluated at the
-    same phase to floating-point accuracy.
+    Agrees with the symbolic oracle at the basis's phase to floating-point accuracy.
     """
-    basis = enumerate_paths(word.strands, k)
-    gates = build_gates(basis, word)
-    return evaluation_result(basis, word, weighted_trace(basis, gates), "exact-path-model")
+    return evaluation_result(basis, word, weighted_trace(basis, build_gates(basis, word)), "exact-path-model")
+
+
+def jones_value_exact(word: BraidWord, k: int) -> EvaluationResult:
+    """Exact Jones value at t = e^(2 pi i / k) on a basis built for this call; the verify suites build one per (n, k)."""
+    return exact_on(enumerate_paths(word.strands, k), word)
 
 
 def markov_trace_pathmodel(basis: PathBasis, generator_indices: list[int]) -> complex:

@@ -2,17 +2,19 @@
 keeps the worst residual, writes one detail line per failure, and passes when
 there is none."""
 
+import collections
 import dataclasses
 import inspect
 import math
 import pathlib
 import re
+import sys
 import types
 
 import pytest
 
 import tljones
-from tljones import checks, tl
+from tljones import checks, evaluation, tl
 from tljones.checks import CheckReport, Tolerances, run_verification
 
 SUITES = (
@@ -120,6 +122,10 @@ class TestSuiteCases:
                 grid = sum(checks._grid_work(n, k) for n in range(2, n_max + 1) for k in range(3, k_max + 1))
                 # n_max = 1 leaves only the per-k and per-sample terms
                 assert checks._estimated_work(n_max, k_max, 7) - checks._estimated_work(1, k_max, 7) == grid, (n_max, k_max)
+
+    def test_wide_k3_grid_within_budget(self):
+        # every k = 3 sector holds one walk, so no far-commutation case runs there and none is charged
+        assert checks._estimated_work(400, 3, 1) <= checks.VERIFY_BUDGET_NS
 
     def test_zero_tolerances_fail_every_floating_suite(self):
         zero = Tolerances(**{f.name: 0.0 for f in dataclasses.fields(Tolerances)} | {"unitarity": 1e-30})
@@ -250,6 +256,30 @@ def test_exact_cases_only_on_sectors_that_can_fail_them(monkeypatch):
     report = checks.check_representation(n_max=8, k_max=3)
     assert report.passed and report.cases > 0
     assert not [label for label in labels if label.endswith(("symmetry", "commutation"))], labels
+
+
+def test_each_suite_builds_each_basis_once(monkeypatch):
+    # a walk basis depends only on (n, k), so a suite builds it once and evaluates every case that needs it on it
+    built = collections.Counter()  # (suite, n, k) -> builds
+    build = checks.enumerate_paths
+
+    def spy(n, k):
+        frame = sys._getframe(1)
+        while not frame.f_code.co_name.startswith("check_"):
+            frame = frame.f_back
+        built[frame.f_code.co_name, n, k] += 1
+        return build(n, k)
+
+    def per_evaluation(n, k):
+        raise AssertionError(f"a suite built the ({n}, {k}) basis for one evaluation")
+
+    monkeypatch.setattr(checks, "enumerate_paths", spy)
+    monkeypatch.setattr(evaluation, "enumerate_paths", per_evaluation)
+    assert all(report.passed for report in run_verification(n_max=4, k_max=5, samples=5, seed=0))
+    assert {suite for suite, _, _ in built} == {
+        "check_representation", "check_trace_compatibility", "check_oracle_equivalence", "check_knot_sanity",
+    }
+    assert max(built.values()) == 1, [key for key, count in built.items() if count > 1]
 
 
 def test_public_names_are_exactly_the_bound_names():

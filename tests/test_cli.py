@@ -148,6 +148,19 @@ class TestExact:
         )
         assert status == 2 and "sweep" in err
 
+    @pytest.mark.parametrize(
+        "argv, work",
+        [(("exact",), "jones_polynomial"), (("evaluate", "--k", "5"), "jones_value_exact")],
+        ids=["exact", "evaluate"],
+    )
+    def test_csv_without_sweep_refused_before_any_work(self, capsys, monkeypatch, argv, work):
+        def computed(*args):
+            raise RuntimeError(f"{work} ran before --format csv was refused")
+
+        monkeypatch.setattr(tljones.cli, work, computed)
+        status, out, err = run_cli(capsys, *argv, "--braid", "1", "--strands", "2", "--format", "csv")
+        assert (status, out, err) == (2, "", "error: --format csv is only available with --sweep-k\n")
+
 
 class TestEvaluate:
     def test_unknot_value(self, capsys):
