@@ -1,8 +1,9 @@
 """Exact symbolic Jones polynomials from the diagram algebra.
 
 Walks through the pieces of the exact oracle: braid words, the defining
-relations of the diagram algebra, the Markov trace, and the normalized Jones
-polynomial in both the Kauffman variable A and the Jones variable t = A^-4.
+relations of the diagram algebra, the trace Tr (one factor of d per closure
+loop), and the normalized Jones polynomial in both the Kauffman variable A
+and the Jones variable t = A^-4.
 """
 
 from tljones import (
@@ -25,8 +26,8 @@ print()
 print("=== Generator arithmetic ===")
 e1 = TLElement.generator(2, 1)
 print(f"  E1 * E1 == d * E1: {e1 * e1 == e1.scaled(LOOP_WEIGHT)}  (d = {LOOP_WEIGHT.format()})")
-print(f"  Tr(identity on 3 strands) = {markov_trace(TLElement.identity(3))}")
-print(f"  Tr(E1 on 3 strands)       = {markov_trace(TLElement.generator(3, 1))}")
+print(f"  Tr(identity on 3 strands) = d^3 = {markov_trace(TLElement.identity(3)).format()}")
+print(f"  Tr(E1 on 3 strands)       = d^2 = {markov_trace(TLElement.generator(3, 1)).format()}")
 
 print()
 print("=== From braid words to knot polynomials ===")

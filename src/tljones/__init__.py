@@ -48,7 +48,6 @@ from .tl import (
     PlanarMatching,
     TLElement,
     TLError,
-    TraceValue,
     jones_polynomial,
     jones_rep,
     markov_trace,
@@ -75,7 +74,6 @@ __all__ = [
     "TLElement",
     "TLError",
     "Tolerances",
-    "TraceValue",
     "adjacency_eigen_check",
     "braid_gen_unitary",
     "choose_a",

@@ -95,18 +95,19 @@ def check_tl_relations(n_max: int = 6, samples: int = 10, seed: int = 0) -> Chec
 
 
 def check_trace_axioms(n_max: int = 6, samples: int = 50, seed: int = 0) -> CheckReport:
-    """The three Markov-trace axioms, symbolically exact, on random words."""
+    """The axioms of the unnormalized trace Tr, symbolically exact on random words:
+    Tr(1_n) = d^n, Tr(xy) = Tr(yx), and Tr(embed(x) E_n) = Tr(x) (closing the new strand adds no loop)."""
     rng = random.Random(seed)
     rec = CheckReport("markov_trace_axioms")
     for n in range(2, n_max + 1):
-        rec.holds(tl.markov_trace(tl.TLElement.identity(n)) == tl.TraceValue(tl.LaurentPoly.one(), 0),
+        rec.holds(tl.markov_trace(tl.TLElement.identity(n)) == tl.times_d(tl.LaurentPoly.one(), n),
                   f"n={n}: trace of identity is not 1")
         for _ in range(samples):
             x = tl.random_generator_word(n, rng.randint(0, 8), rng)
             y = tl.random_generator_word(n, rng.randint(0, 8), rng)
-            rec.holds((tl.markov_trace(x * y) - tl.markov_trace(y * x)).is_zero(), f"n={n}: cyclicity failed")
+            rec.holds(tl.markov_trace(x * y) == tl.markov_trace(y * x), f"n={n}: cyclicity failed")
             lhs = tl.markov_trace(tl.embed(x) * tl.TLElement.generator(n + 1, n))
-            rec.holds((lhs - tl.markov_trace(x).div_d(1)).is_zero(), f"n={n}: strand-closure axiom failed")
+            rec.holds(lhs == tl.markov_trace(x), f"n={n}: strand-closure axiom failed")
     return rec
 
 
@@ -164,7 +165,7 @@ def check_representation(
 def check_trace_compatibility(
     samples: int = 100, seed: int = 0, tol: Tolerances = Tolerances(), k_max: int = 8,
 ) -> CheckReport:
-    """|weighted trace of a generator word - symbolic trace at the phase|, on n <= 5 strands and up to 10 letters."""
+    """|weighted trace of a generator word - Tr / d^n at the phase|, on n <= 5 strands and up to 10 letters."""
     rng = random.Random(seed)
     cases = []
     for _ in range(samples):
@@ -177,7 +178,8 @@ def check_trace_compatibility(
     for n, k, indices in cases:
         basis = bases[n, k]
         numeric = markov_trace_pathmodel(basis, indices)
-        symbolic = tl.markov_trace(tl.generator_word(n, indices)).evaluate(basis.params.a_value)
+        a = basis.params.a_value  # the symbolic side reads only A from the model, and d from A
+        symbolic = tl.markov_trace(tl.generator_word(n, indices)).evaluate(a) / tl.LOOP_WEIGHT.evaluate(a) ** n
         rec.check(abs(numeric - symbolic), tol.trace_compat, f"n={n} k={k} word={indices}: residual")
     return rec
 
@@ -217,7 +219,7 @@ def check_knot_sanity(
     samples: int = 50, seed: int = 0, tol: Tolerances = Tolerances(), k_max: int = 10,
 ) -> CheckReport:
     """V(unknot) = 1 at every k; V = 1 at k=3 for every knot closure; and
-    exact-value invariance under conjugation and both stabilizations."""
+    exact-value invariance under conjugation and both stabilizations, each at a k drawn up to min(8, k_max)."""
     rng = random.Random(seed)
     unknot = parse_braid_word("1", 2)
     knots = [word for word in (braids.random_braid(rng, max_strands=4, max_length=8) for _ in range(samples))
@@ -226,7 +228,7 @@ def check_knot_sanity(
     for _ in range(samples):
         word = braids.random_braid(rng, max_strands=4, max_length=6)
         conj = braids.random_braid(rng, max_strands=word.strands, min_strands=word.strands, max_length=4)
-        k = rng.randint(3, 8)
+        k = rng.randint(3, min(8, k_max))
         moves.append((k, word, braids.markov_conjugate(word, conj), braids.markov_stabilize(word, 1),
                       braids.markov_stabilize(word, -1)))
     keys = {(2, k) for k in range(3, k_max + 1)} | {(word.strands, 3) for word in knots}

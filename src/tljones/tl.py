@@ -10,21 +10,21 @@ Multiplication stacks rectangles: the left factor sits on top, its bottom
 points are glued to the right factor's top points, and every closed loop
 produced by the gluing is deleted in exchange for one factor of d.
 
-The Markov trace closes a diagram by joining top point j to bottom point j
-around the rectangle and weighs the result d^(loops - n). Because negative
-powers of d appear, trace values live in Z[A, A^-1, d^-1] and are carried
-exactly as a Laurent numerator over an explicit power of d (TraceValue).
-No normal form is kept: two trace values are equal when their difference,
-lifted to the larger power of d, has a zero numerator.
+The trace Tr closes a diagram by joining top point j to bottom point j
+around the rectangle, and each loop of the closure is worth one factor of d.
+So Tr(x) = sum of c * d^(closure loops) over the terms c*mu of x is an
+integer Laurent polynomial in A, with Tr(1_n) = d^n; the normalized Markov
+trace is Tr / d^n.
 
 A braid maps into the algebra by the Jones representation
 b_i -> A E_i + A^-1 1 (inverse letters swap A and A^-1), applied letter by
 letter as an action on the coefficients, and the Jones polynomial of the
 braid's trace closure is
 
-    jones = (-A^3)^writhe * d^(n-1) * trace(image of the braid),
+    jones = (-A^3)^writhe * Tr(image of the braid) / d,
 
-normalized so the unknot evaluates to exactly 1. The writhe prefactor base
+normalized so the unknot evaluates to exactly 1. The one division is exact,
+because every closure has at least one loop. The writhe prefactor base
 -A^3 is fixed by that normalization together with invariance under both
 stabilization moves.
 """
@@ -248,61 +248,14 @@ def embed(element: TLElement) -> TLElement:
     return TLElement(n + 1, out)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class TraceValue:
-    """An exact element of Z[A, A^-1, d^-1]: numerator / d^d_power.
-
-    The pair is kept as built, so one value has many pairs (d_power may be
-    negative): equality is value equality and trace values are unhashable.
-    """
-
-    numerator: LaurentPoly
-    d_power: int
-
-    def __add__(self, other: TraceValue) -> TraceValue:
-        if not isinstance(other, TraceValue):
-            return NotImplemented
-        e = max(self.d_power, other.d_power)
-        num = times_d(self.numerator, e - self.d_power) + times_d(other.numerator, e - other.d_power)
-        return TraceValue(num, e)
-
-    def __sub__(self, other: TraceValue) -> TraceValue:
-        return self + TraceValue(-other.numerator, other.d_power)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceValue):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def div_d(self, times: int = 1) -> TraceValue:
-        """Multiply by d^-times (times may be negative to multiply by d)."""
-        return TraceValue(self.numerator, self.d_power + times)
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def evaluate(self, a_value: complex) -> complex:
-        d = -a_value**2 - a_value**-2
-        return self.numerator.evaluate(a_value) / d**self.d_power
-
-    def __repr__(self) -> str:
-        if self.d_power == 0:
-            return f"TraceValue({self.numerator.format()})"
-        return f"TraceValue(({self.numerator.format()}) / d^{self.d_power})"
-
-
-def markov_trace(element: TLElement) -> TraceValue:
-    """Diagrammatic Markov trace: close each diagram and weigh by d^(loops - n),
-    summing per loop count and cancelling d^(fewest loops), so d_power <= n - 1."""
+def markov_trace(element: TLElement) -> LaurentPoly:
+    """Unnormalized trace Tr: close each diagram and weigh it by d^loops,
+    summing the coefficients per loop count first, so Tr(1_n) = d^n."""
     by_loops: dict[int, LaurentPoly] = {}
     for matching, coeff in element.terms.items():
         loops = close_and_count_loops(matching)
         by_loops[loops] = by_loops.get(loops, LaurentPoly.zero()) + coeff
-    fewest = min(by_loops, default=0)
-    numerator = sum((times_d(c, loops - fewest) for loops, c in by_loops.items()), LaurentPoly.zero())
-    return TraceValue(numerator, element.n - fewest)
+    return sum((times_d(c, loops) for loops, c in by_loops.items()), LaurentPoly.zero())
 
 
 def jones_rep(word: BraidWord) -> TLElement:
@@ -336,13 +289,9 @@ def writhe_prefactor(w: int) -> LaurentPoly:
 
 
 def jones_polynomial(word: BraidWord) -> LaurentPoly:
-    """Exact Jones polynomial (in A) of the braid's trace closure.
-
-    Every closure has a loop, so the Markov trace's d^-d_power has
-    d_power <= n - 1 and the factor d^(n-1) leaves a polynomial.
-    """
-    trace = markov_trace(jones_rep(word))
-    return times_d(trace.numerator, word.strands - 1 - trace.d_power) * writhe_prefactor(writhe(word))
+    """Exact Jones polynomial (in A) of the braid's trace closure: (-A^3)^writhe * Tr / d,
+    where the division is exact because every closure has at least one loop."""
+    return markov_trace(jones_rep(word)).div_exact(LOOP_WEIGHT) * writhe_prefactor(writhe(word))
 
 
 def generator_word(n: int, indices: Iterable[int]) -> TLElement:

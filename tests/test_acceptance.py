@@ -59,7 +59,7 @@ def test_criterion_3_trace_compatibility():
         element = TLElement.identity(n)
         for i in indices:
             element = element * TLElement.generator(n, i)
-        symbolic = markov_trace(element).evaluate(basis.params.a_value)
+        symbolic = markov_trace(element).evaluate(basis.params.a_value) / basis.params.d**n
         numeric = markov_trace_pathmodel(basis, indices)
         worst = max(worst, abs(numeric - symbolic))
     passed = worst <= 1e-10

@@ -158,7 +158,7 @@ class TestSuiteCases:
         # a factor of d fails only the identity case, since the other two axioms are linear;
         # a factor that grows with n also breaks the strand-closure axiom
         trace = tl.markov_trace
-        monkeypatch.setattr(checks.tl, "markov_trace", lambda element: trace(element).div_d(power(element.n)))
+        monkeypatch.setattr(checks.tl, "markov_trace", lambda element: tl.times_d(trace(element), power(element.n)))
         report = checks.check_trace_axioms(n_max=3, samples=5)
         assert not report.passed
         assert set(report.details) == {f"n={n}: {case}" for n in (2, 3) for case in failing}
@@ -280,6 +280,20 @@ def test_each_suite_builds_each_basis_once(monkeypatch):
         "check_representation", "check_trace_compatibility", "check_oracle_equivalence", "check_knot_sanity",
     }
     assert max(built.values()) == 1, [key for key, count in built.items() if count > 1]
+
+
+def test_knot_sanity_moves_stay_within_k_max(monkeypatch):
+    # the Markov-move cases draw their k from 3..min(8, k_max), so a small grid builds no basis past k_max
+    built = set()
+    build = checks.enumerate_paths
+
+    def spy(n, k):
+        built.add((n, k))
+        return build(n, k)
+
+    monkeypatch.setattr(checks, "enumerate_paths", spy)
+    assert all(report.passed for report in run_verification(n_max=3, k_max=4, samples=2, seed=0))
+    assert built and max(k for _, k in built) <= 4, sorted(built)
 
 
 def test_public_names_are_exactly_the_bound_names():

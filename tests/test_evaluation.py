@@ -78,7 +78,7 @@ class TestMarkovTracePathmodel:
             element = TLElement.identity(n)
             for i in indices:
                 element = element * TLElement.generator(n, i)
-            symbolic = markov_trace(element).evaluate(basis.params.a_value)
+            symbolic = markov_trace(element).evaluate(basis.params.a_value) / basis.params.d**n
             assert abs(markov_trace_pathmodel(basis, indices) - symbolic) <= 1e-10
 
     def test_cyclicity_numeric(self):

@@ -15,7 +15,6 @@ from tljones.tl import (
     PlanarMatching,
     TLElement,
     TLError,
-    TraceValue,
     close_and_count_loops,
     embed,
     generator_word,
@@ -261,18 +260,19 @@ class TestPartnerTableStacking:
 
 
 class TestMarkovTrace:
+    """The unnormalized trace Tr: each closure loop is one factor of d."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_trace_of_identity(self, n):
-        assert markov_trace(TLElement.identity(n)) == TraceValue(LaurentPoly.one(), 0)
+        assert markov_trace(TLElement.identity(n)) == times_d(LaurentPoly.one(), n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_trace_of_generator(self, n):
-        value = markov_trace(TLElement.generator(n, 1))
-        assert value == TraceValue(LaurentPoly.one(), 1)  # exactly 1/d
+        assert markov_trace(TLElement.generator(n, 1)) == times_d(LaurentPoly.one(), n - 1)
 
     def test_trace_of_distant_pair(self):
         e1e3 = TLElement.generator(4, 1) * TLElement.generator(4, 3)
-        assert markov_trace(e1e3) == TraceValue(LaurentPoly.one(), 2)  # exactly 1/d^2
+        assert markov_trace(e1e3) == times_d(LaurentPoly.one(), 2)
 
     def test_cyclicity_random(self):
         rng = random.Random(3)
@@ -280,21 +280,22 @@ class TestMarkovTrace:
             n = rng.randint(2, 5)
             x = random_generator_word(n, rng.randint(0, 8), rng)
             y = random_generator_word(n, rng.randint(0, 8), rng)
-            assert (markov_trace(x * y) - markov_trace(y * x)).is_zero()
+            assert markov_trace(x * y) == markov_trace(y * x)
 
     def test_strand_closure_axiom_random(self):
         rng = random.Random(4)
         for _ in range(40):
             n = rng.randint(2, 5)
             x = random_generator_word(n, rng.randint(0, 8), rng)
-            lhs = markov_trace(embed(x) * TLElement.generator(n + 1, n))
-            assert (lhs - markov_trace(x).div_d(1)).is_zero()
+            assert markov_trace(embed(x) * TLElement.generator(n + 1, n)) == markov_trace(x)
 
-    def test_trace_value_normalization(self):
-        # d * (1/d) is the polynomial 1, though the pair is kept as built
-        value = TraceValue(LOOP_WEIGHT, 1)
-        assert value == TraceValue(LaurentPoly.one(), 0)
-        assert (value.numerator, value.d_power) == (LOOP_WEIGHT, 1)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_embedding_adds_one_loop(self, n):
+        # the appended identity strand closes into one more loop
+        rng = random.Random(n)
+        for _ in range(10):
+            x = random_generator_word(n, rng.randint(0, 8), rng)
+            assert markov_trace(embed(x)) == times_d(markov_trace(x), 1)
 
 
 class TestJonesRep:
@@ -466,7 +467,7 @@ class TestLetterAction:
 
 
 class TestDivisionFreeNormalForm:
-    """Closed-form powers of d, and trace values compared by lifting to a common power of d."""
+    """Closed-form powers of d, and the exact division by d that jones_polynomial makes."""
 
     @PROPERTY
     @given(polys, st.integers(0, 6))
@@ -479,27 +480,6 @@ class TestDivisionFreeNormalForm:
         p = q * d_to(j) + LaurentPoly.monomial(e)
         with pytest.raises(ExactDivisionError):
             p.div_exact(LOOP_WEIGHT)
-
-    @PROPERTY
-    @given(polys, st.integers(0, 4), st.integers(-3, 6), st.integers(-20, 20))
-    def test_equality_is_value_equality(self, q, j, d_power, e):
-        assert TraceValue(q * d_to(j), d_power + j) == TraceValue(q, d_power)
-        assert TraceValue(q * d_to(j) + LaurentPoly.monomial(e), d_power + j) != TraceValue(q, d_power)
-
-    def test_trace_values_are_unhashable(self):
-        with pytest.raises(TypeError):
-            hash(TraceValue(LaurentPoly.one(), 1))
-
-    def test_negative_d_power_multiplies_by_d(self):
-        value, product = TraceValue(LaurentPoly.monomial(3), -2), TraceValue(LaurentPoly.monomial(3) * d_to(2), 0)
-        assert value == product
-        assert value.evaluate(0.3 + 0.8j) == pytest.approx(product.evaluate(0.3 + 0.8j))
-
-    def test_div_d_by_a_negative_count_multiplies(self):
-        value = TraceValue(LaurentPoly.one(), 1)  # 1/d
-        assert value.div_d(-1) == TraceValue(LaurentPoly.one(), 0)
-        assert value.div_d(-3) == TraceValue(d_to(2), 0)
-        assert value.div_d(-3).div_d(3) == value
 
 
 class TestLibraryBuiltTables:
